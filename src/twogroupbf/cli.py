@@ -202,13 +202,11 @@ def _study_input(args):
     raise _CliError("no variability information: add --sd-x/--sd-y or --ci-margin")
 
 
-def _interval_from_flag(values) -> tuple:
-    if len(values) == 1:
-        v = abs(values[0])
-        return (-v, v) if v > 0.0 else (0.0, 0.0)
-    if len(values) == 2:
-        return (values[0], values[1])
-    raise _CliError("--interval takes one or two values")
+def _interval_from_flag(values):
+    if len(values) not in (1, 2):
+        raise _CliError("--interval takes one or two values")
+    # TestSpec.equivalence reads a single value v as (-v, v)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _test_spec(args) -> TestSpec:

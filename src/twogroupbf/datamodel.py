@@ -60,6 +60,13 @@ class RawGroups:
                 raise ValidationError(f"group {name} has zero sample variance")
 
 
+def _check_group_sizes(n_x, n_y) -> None:
+    if not (float(n_x).is_integer() and float(n_y).is_integer()):
+        raise ValidationError("group sizes must be whole numbers")
+    if n_x < 2 or n_y < 2:
+        raise ValidationError("group sizes must be at least 2")
+
+
 @dataclass(frozen=True)
 class SummaryMoments:
     """Per-group sample size, mean, and standard deviation (ddof 1)."""
@@ -72,8 +79,7 @@ class SummaryMoments:
     sd_y: float
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValidationError("group sizes must be at least 2")
+        _check_group_sizes(self.n_x, self.n_y)
         if not (self.sd_x > 0.0 and self.sd_y > 0.0):
             raise ValidationError("group standard deviations must be positive")
         for v in (self.mean_x, self.mean_y, self.sd_x, self.sd_y):
@@ -93,8 +99,7 @@ class SummaryCi:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValidationError("group sizes must be at least 2")
+        _check_group_sizes(self.n_x, self.n_y)
         if self.n_x + self.n_y - 2 < _CI_MIN_DF:
             raise ValidationError(
                 f"confidence-interval input needs df >= {_CI_MIN_DF}; "
@@ -171,21 +176,18 @@ def derive_stats(data: StudyInput) -> DerivedStats:
         return derive_stats(_moments_from_raw(data))
     if isinstance(data, SummaryMoments):
         sd = pooled_sd(data)
-        n_x, n_y = data.n_x, data.n_y
-        mean_diff = data.mean_y - data.mean_x
     elif isinstance(data, SummaryCi):
         sd = sd_from_ci(data)
-        n_x, n_y = data.n_x, data.n_y
-        mean_diff = data.mean_y - data.mean_x
     else:
         raise ValidationError(f"unsupported study input type: {type(data).__name__}")
 
+    n_x, n_y = data.n_x, data.n_y
     se = sd * math.sqrt(1.0 / n_x + 1.0 / n_y)
     return DerivedStats(
         df=float(n_x + n_y - 2),
         sd_pooled=sd,
         n_eff=n_x * n_y / (n_x + n_y),
-        t_obs=mean_diff / se,
+        t_obs=(data.mean_y - data.mean_x) / se,
     )
 
 

@@ -3,15 +3,21 @@
 The sampling model is reduced to the observed t statistic, whose likelihood
 given the standardized effect delta is noncentral t with noncentrality
 delta * sqrt(n_eff).  A zero-location Cauchy prior (possibly truncated and
-renormalized) is placed on delta.  From these two ingredients:
+renormalized) is placed on delta.  Each design is one row of a table: the
+cuts that split the prior's support into pieces, which pieces make up H1,
+and the orientation of the reported Bayes factor.
 
-* superiority:      BF10 = marginal likelihood under the (half-)Cauchy
-                    alternative over the central-t density at the point null
-* non-inferiority:  BF10 = posterior odds of the two regions split at the
-                    margin, divided by the Cauchy prior odds of the regions
-* equivalence:      BF01 = the same region odds for inside versus outside
-                    the interval; a degenerate (0, 0) interval short-cuts
-                    to the Savage-Dickey density ratio at zero
+* superiority:      no cuts; BF10 = marginal likelihood under the
+                    (half-)Cauchy alternative over the central-t density at
+                    the point null
+* non-inferiority:  one cut at the margin; BF10 = posterior odds of the two
+                    pieces divided by their Cauchy prior odds (the
+                    interval-null odds of Morey & Rouder, 2011)
+* equivalence:      cuts at both ends of the interval; BF01 = the same odds
+                    for inside versus outside; a degenerate (0, 0) interval
+                    short-cuts to the Savage-Dickey density ratio at zero
+
+All pieces of one Bayes factor come from a single quadrature pass.
 
 A benefit direction of "low" is folded away at the door: the mean
 difference is negated and the computation proceeds as if high scores were
@@ -21,7 +27,7 @@ beneficial, so both directions share one code path and mirror exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -201,47 +207,30 @@ class SweepResult:
 
 
 def get_bf(result: BfResult) -> float:
-    """The Bayes factor on the linear scale, in the result's orientation."""
-    return math.exp(result.log_bf)
+    """The Bayes factor on the linear scale, in the result's orientation;
+    ``math.inf`` above the float range and 0.0 below it."""
+    try:
+        return math.exp(result.log_bf)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
 
-def _input_mode(data: StudyInput) -> str:
-    if isinstance(data, RawGroups):
-        return "raw"
-    if isinstance(data, SummaryMoments):
-        return "summary-moments"
-    if isinstance(data, SummaryCi):
-        return "summary-ci"
-    raise ValidationError(f"unsupported study input type: {type(data).__name__}")
+_INPUT_MODES = ((RawGroups, "raw"), (SummaryMoments, "summary-moments"), (SummaryCi, "summary-ci"))
 
 
-def _canonical_t(stats: DerivedStats, direction: Direction) -> float:
-    """t statistic oriented so that larger values favour the benefit."""
-    return stats.t_obs if direction == "high" else -stats.t_obs
-
-
-def _log_likelihood(stats: DerivedStats, t_canonical: float):
+def _log_joint(stats: DerivedStats, t: float, prior: CauchyPrior):
+    """ln of likelihood times truncated-prior density, as a function of delta."""
     sqrt_n = math.sqrt(stats.n_eff)
 
-    def ll(delta):
-        return specfun.noncentral_t_logpdf(t_canonical, stats.df, np.asarray(delta) * sqrt_n)
+    def joint(delta):
+        return (specfun.noncentral_t_logpdf(t, stats.df, np.asarray(delta) * sqrt_n)
+                + prior.logpdf(delta))
 
-    return ll
-
-
-def _log_marginal(stats: DerivedStats, t_canonical: float, prior: CauchyPrior,
-                  region: Interval, settings: QuadratureSettings) -> float:
-    """ln integral of likelihood * truncated-prior density over region."""
-    ll = _log_likelihood(stats, t_canonical)
-
-    def integrand(delta):
-        return ll(delta) + prior.logpdf(delta)
-
-    return integrate_log(integrand, region, settings)
+    return joint
 
 
 def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior,
@@ -252,10 +241,8 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior,
     over the prior's truncation interval, so the density integrates to one
     there.  Broadcasts over ``delta``.
     """
-    settings = settings or QuadratureSettings()
-    log_z = _log_marginal(stats, stats.t_obs, prior, prior.truncation, settings)
-    ll = _log_likelihood(stats, stats.t_obs)
-    return ll(delta) + prior.logpdf(delta) - log_z
+    joint = _log_joint(stats, stats.t_obs, prior)
+    return joint(delta) - integrate_log(joint, prior.truncation, settings)
 
 
 def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float,
@@ -271,165 +258,139 @@ def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float,
     return math.exp(float(log_post) - float(prior.logpdf(delta0)))
 
 
-def _region_log_odds(stats: DerivedStats, t_canonical: float, prior: CauchyPrior,
-                     split: float, settings: QuadratureSettings) -> Tuple[float, float]:
-    """(log posterior odds, log prior odds) of delta > split vs delta < split."""
-    p_below = prior.mass(-math.inf, split)
-    p_above = prior.mass(split, math.inf)
-    if p_below < _MIN_REGION_PRIOR_MASS or p_above < _MIN_REGION_PRIOR_MASS:
-        raise ValidationError(
-            f"margin {split:g} leaves essentially no prior mass on one side"
-        )
-    log_m_above = _log_marginal(stats, t_canonical, prior, Interval(split, math.inf), settings)
-    log_m_below = _log_marginal(stats, t_canonical, prior, Interval(-math.inf, split), settings)
-    return log_m_above - log_m_below, math.log(p_above) - math.log(p_below)
+# Each design lays its hypotheses out on the effect axis: the prior, the
+# cuts that split its support into pieces, and which pieces make up H1
+# (the rest are H0).  No H1 pieces means a point null at delta = 0 against
+# the whole prior.  The layout also carries the fields its report shows.
+
+@dataclass(frozen=True)
+class _Layout:
+    prior: CauchyPrior
+    cuts: Tuple[float, ...] = ()
+    h1: Tuple[int, ...] = ()
+    fields: dict = field(default_factory=dict)
 
 
-def super_bf(data: StudyInput, spec: TestSpec,
-             prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
-    """Superiority test: point null delta = 0 against the Cauchy alternative.
-
-    Two-sided uses the full Cauchy; one-sided uses the half-Cauchy on the
-    beneficial side, renormalized.  Evidence is oriented BF10.
-    """
-    if spec.design != "superiority":
-        raise ValidationError("super_bf requires a superiority TestSpec")
-    settings = settings or QuadratureSettings()
-    stats = derive_stats(data)
-    t_c = _canonical_t(stats, spec.direction)
-
-    if spec.alternative == "two_sided":
-        prior = CauchyPrior(scale=prior_scale)
-    else:
-        prior = CauchyPrior(scale=prior_scale, truncation=Interval(0.0, math.inf))
-    log_m1 = _log_marginal(stats, t_c, prior, prior.truncation, settings)
-    log_m0 = float(specfun.central_t_logpdf(t_c, stats.df))
-
-    return BfResult(
-        log_bf=log_m1 - log_m0,
-        orientation="bf10",
-        design="superiority",
-        direction=spec.direction,
-        alternative=spec.alternative,
-        prior_scale=prior_scale,
-        input_mode=_input_mode(data),
-    )
+def _superiority(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
+    lower = -math.inf if spec.alternative == "two_sided" else 0.0
+    return _Layout(CauchyPrior(scale=scale, truncation=Interval(lower, math.inf)),
+                   fields={"alternative": spec.alternative})
 
 
-def infer_bf(data: StudyInput, spec: TestSpec,
-             prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
-    """Non-inferiority test: region odds split at the standardized margin.
-
-    With benefit = high the hypotheses are H0: delta < -margin versus
-    H1: delta > -margin (mirrored for benefit = low).  BF10 is the posterior
-    odds of the regions divided by their prior odds under the full Cauchy.
-    """
-    if spec.design != "non_inferiority":
-        raise ValidationError("infer_bf requires a non-inferiority TestSpec")
-    settings = settings or QuadratureSettings()
-    stats = derive_stats(data)
-    t_c = _canonical_t(stats, spec.direction)
+def _non_inferiority(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
+    # H0: delta < -margin versus H1: delta > -margin, in benefit-oriented units
     margin_std = standardize_margin(spec.ni_margin, spec.ni_margin_std, stats)
     margin_unstd = spec.ni_margin if not spec.ni_margin_std else spec.ni_margin * stats.sd_pooled
-
-    prior = CauchyPrior(scale=prior_scale)
-    log_post_odds, log_prior_odds = _region_log_odds(
-        stats, t_c, prior, -margin_std, settings
-    )
-    return BfResult(
-        log_bf=log_post_odds - log_prior_odds,
-        orientation="bf10",
-        design="non_inferiority",
-        direction=spec.direction,
-        prior_scale=prior_scale,
-        input_mode=_input_mode(data),
-        margin_std=margin_std,
-        margin_unstd=margin_unstd,
-    )
+    prior, split = CauchyPrior(scale=scale), -margin_std
+    if min(prior.mass(-math.inf, split), prior.mass(split, math.inf)) < _MIN_REGION_PRIOR_MASS:
+        raise ValidationError(f"margin {split:g} leaves essentially no prior mass on one side")
+    return _Layout(prior, cuts=(split,), h1=(1,),
+                   fields={"margin_std": margin_std, "margin_unstd": margin_unstd})
 
 
-def equiv_bf(data: StudyInput, spec: TestSpec,
-             prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
-    """Equivalence test: evidence for delta inside the interval, as BF01.
-
-    The degenerate interval (0, 0) is the point null, evaluated by the
-    Savage-Dickey ratio against the full Cauchy alternative.  A proper
-    interval uses the inside-versus-outside region odds.  The interval is
-    read in benefit-oriented units: with direction "low" it bounds the
-    mirrored effect, so mirrored data under the flipped direction give the
-    same answer.
-    """
-    if spec.design != "equivalence":
-        raise ValidationError("equiv_bf requires an equivalence TestSpec")
-    settings = settings or QuadratureSettings()
-    stats = derive_stats(data)
-    t_c = _canonical_t(stats, spec.direction)
-
-    lo_std = standardize_margin(spec.interval[0], spec.interval_std, stats)
-    hi_std = standardize_margin(spec.interval[1], spec.interval_std, stats)
-    if spec.interval_std:
-        lo_unstd = spec.interval[0] * stats.sd_pooled
-        hi_unstd = spec.interval[1] * stats.sd_pooled
-    else:
-        lo_unstd, hi_unstd = spec.interval
-
-    # the interval is stated for the benefit-oriented effect, which is what
-    # the canonical t already measures; no reflection needed
-    lo_c, hi_c = lo_std, hi_std
-
-    prior = CauchyPrior(scale=prior_scale)
-    stats_c = replace(stats, t_obs=t_c)
-
-    if lo_c == hi_c == 0.0:
-        log_bf01 = math.log(savage_dickey_bf(stats_c, prior, 0.0, settings))
-    elif lo_c == hi_c:
+def _equivalence(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
+    # H0: delta inside the interval, in benefit-oriented units; (0, 0) is
+    # the point null
+    lo, hi = (standardize_margin(v, spec.interval_std, stats) for v in spec.interval)
+    unstd = (tuple(v * stats.sd_pooled for v in spec.interval) if spec.interval_std
+             else spec.interval)
+    fields = {"interval_std": (lo, hi), "interval_unstd": unstd}
+    prior = CauchyPrior(scale=scale)
+    if lo == hi == 0.0:
+        return _Layout(prior, fields=fields)
+    if lo == hi:
         raise ValidationError("a point equivalence hypothesis must sit at 0")
-    else:
-        p_in = prior.mass(lo_c, hi_c)
-        p_out = 1.0 - p_in
-        if p_in < _MIN_REGION_PRIOR_MASS:
-            raise ValidationError("equivalence interval carries no prior mass")
-        if p_out < _MIN_REGION_PRIOR_MASS:
-            raise ValidationError("equivalence interval leaves no prior mass outside")
-        log_m_in = _log_marginal(stats, t_c, prior, Interval(lo_c, hi_c), settings)
-        log_m_out = np.logaddexp(
-            _log_marginal(stats, t_c, prior, Interval(-math.inf, lo_c), settings),
-            _log_marginal(stats, t_c, prior, Interval(hi_c, math.inf), settings),
-        )
-        log_bf01 = (log_m_in - float(log_m_out)) - (math.log(p_in) - math.log(p_out))
-
-    return BfResult(
-        log_bf=log_bf01,
-        orientation="bf01",
-        design="equivalence",
-        direction=spec.direction,
-        prior_scale=prior_scale,
-        input_mode=_input_mode(data),
-        interval_std=(lo_std, hi_std),
-        interval_unstd=(lo_unstd, hi_unstd),
-    )
+    p_in = prior.mass(lo, hi)
+    if p_in < _MIN_REGION_PRIOR_MASS:
+        raise ValidationError("equivalence interval carries no prior mass")
+    if 1.0 - p_in < _MIN_REGION_PRIOR_MASS:
+        raise ValidationError("equivalence interval leaves no prior mass outside")
+    return _Layout(prior, cuts=(lo, hi), h1=(0, 2), fields=fields)
 
 
-_RUNNERS = {
-    "superiority": super_bf,
-    "non_inferiority": infer_bf,
-    "equivalence": equiv_bf,
+# design -> (orientation of the reported BF, layout)
+_DESIGNS = {
+    "superiority": ("bf10", _superiority),
+    "non_inferiority": ("bf10", _non_inferiority),
+    "equivalence": ("bf01", _equivalence),
 }
 
 
-def run_test(data: StudyInput, spec: TestSpec,
-             prior_scale: float = DEFAULT_PRIOR_SCALE,
+def _log_odds(logs: Sequence[float], h1: Tuple[int, ...]) -> float:
+    """ln of the H1 total over the H0 total of per-piece log values."""
+    h0 = [v for k, v in enumerate(logs) if k not in h1]
+    return float(np.logaddexp.reduce([logs[k] for k in h1]) - np.logaddexp.reduce(h0))
+
+
+def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec, prior_scale: float,
+              settings: QuadratureSettings | None) -> BfResult:
+    """The Bayes factor of ``spec``'s table row, from already derived stats."""
+    orientation, layout = _DESIGNS[spec.design]
+    hyp = layout(spec, stats, prior_scale)
+    t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
+    joint = _log_joint(stats, t_c, hyp.prior)
+    if hyp.h1:
+        # interval-null odds: posterior odds of the pieces over their prior odds
+        log_m = integrate_log(joint, hyp.prior.truncation, settings, hyp.cuts)
+        edges = (-math.inf, *hyp.cuts, math.inf)
+        log_p = [math.log(hyp.prior.mass(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+        log_bf10 = _log_odds(log_m, hyp.h1) - _log_odds(log_p, hyp.h1)
+    elif orientation == "bf10":
+        # marginal likelihood over the likelihood at the point null
+        log_bf10 = (integrate_log(joint, hyp.prior.truncation, settings)
+                    - float(specfun.central_t_logpdf(t_c, stats.df)))
+    else:
+        # the Savage-Dickey density ratio gives BF01 directly
+        log_bf10 = -math.log(savage_dickey_bf(replace(stats, t_obs=t_c), hyp.prior, 0.0, settings))
+    log_bf = log_bf10 if orientation == "bf10" else -log_bf10
+    return BfResult(log_bf=log_bf, orientation=orientation, design=spec.design,
+                    direction=spec.direction, prior_scale=prior_scale,
+                    input_mode=next(m for cls, m in _INPUT_MODES if isinstance(data, cls)),
+                    **hyp.fields)
+
+
+def run_test(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
              settings: QuadratureSettings | None = None) -> BfResult:
-    """Dispatch to the design-appropriate Bayes factor."""
-    return _RUNNERS[spec.design](data, spec, prior_scale, settings)
+    """The Bayes factor of whichever design ``spec`` names."""
+    return _evaluate(data, derive_stats(data), spec, prior_scale, settings)
+
+
+def _require(spec: TestSpec, design: Design, message: str) -> None:
+    if spec.design != design:
+        raise ValidationError(message)
+
+
+def super_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
+             settings: QuadratureSettings | None = None) -> BfResult:
+    """Superiority test (BF10): the point null delta = 0 against the full
+    Cauchy (two-sided) or the renormalized half-Cauchy on the beneficial
+    side (one-sided)."""
+    _require(spec, "superiority", "super_bf requires a superiority TestSpec")
+    return run_test(data, spec, prior_scale, settings)
+
+
+def infer_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
+             settings: QuadratureSettings | None = None) -> BfResult:
+    """Non-inferiority test (BF10): with benefit = high, H0: delta < -margin
+    against H1: delta > -margin (mirrored for benefit = low)."""
+    _require(spec, "non_inferiority", "infer_bf requires a non-inferiority TestSpec")
+    return run_test(data, spec, prior_scale, settings)
+
+
+def equiv_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
+             settings: QuadratureSettings | None = None) -> BfResult:
+    """Equivalence test (BF01): delta inside the interval against outside.
+
+    The interval bounds the benefit-oriented effect, so mirrored data under
+    the flipped direction give the same answer; (0, 0) is the point null.
+    """
+    _require(spec, "equivalence", "equiv_bf requires an equivalence TestSpec")
+    return run_test(data, spec, prior_scale, settings)
 
 
 def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float],
                 settings: QuadratureSettings | None = None) -> SweepResult:
-    """Robustness sweep: one Bayes factor per prior scale.
+    """Robustness sweep: one Bayes factor per prior scale, from stats derived once.
 
     A failure at one scale is recorded on its entry and the sweep carries
     on.  Entries keep the order of ``scales``; the summary holds the min
@@ -441,10 +402,13 @@ def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float],
         raise ValidationError("all prior scales must be positive finite numbers")
 
     entries = []
+    stats = None
     for scale in scales:
         try:
-            entries.append(SweepEntry(scale=float(scale),
-                                      result=run_test(data, spec, float(scale), settings)))
+            # derived on first use, so input that cannot be reduced fails per scale as well
+            stats = stats or derive_stats(data)
+            entries.append(SweepEntry(scale=float(scale), result=_evaluate(
+                data, stats, spec, float(scale), settings)))
         except (ValidationError, QuadratureError) as exc:
             entries.append(SweepEntry(scale=float(scale), error=str(exc)))
     log_bfs = [e.result.log_bf for e in entries if e.result is not None]

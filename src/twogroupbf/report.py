@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import DerivedStats
-from .engine import BfResult, CauchyPrior, SweepResult, posterior_log_density
+from .engine import BfResult, CauchyPrior, SweepResult, get_bf, posterior_log_density
 from .quadrature import Interval, QuadratureSettings
 
 __all__ = [
@@ -30,23 +30,30 @@ _SCI_LOG10_THRESHOLD = 4.0  # |log10 BF| at or beyond which scientific notation 
 class ReportOptions:
     format: str = "text"
     significant_digits: int = 3
-    curve_points: int = 512
 
     def __post_init__(self):
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
         if not 2 <= self.significant_digits <= 10:
             raise ValueError("significant_digits must be between 2 and 10")
-        if self.curve_points < 2:
-            raise ValueError("curve_points must be at least 2")
 
 
 def _format_bf(log_bf: float, significant_digits: int) -> str:
     log10_bf = log_bf / math.log(10.0)
-    value = math.exp(log_bf)
-    if abs(log10_bf) >= _SCI_LOG10_THRESHOLD:
+    try:
+        value = math.exp(log_bf)
+    except OverflowError:
+        value = 0.0  # formatted from log10_bf below, like an underflow
+    if abs(log10_bf) < _SCI_LOG10_THRESHOLD:
+        return f"{value:.2f}"
+    if value > 0.0:
         return f"{value:.{significant_digits - 1}e}"
-    return f"{value:.2f}"
+    # beyond the float range: mantissa and exponent straight from log10 BF
+    exponent = math.floor(log10_bf)
+    mantissa = 10.0 ** (log10_bf - exponent)
+    if f"{mantissa:.{significant_digits - 1}f}".startswith("10"):  # rounds up a decade
+        exponent, mantissa = exponent + 1, mantissa / 10.0
+    return f"{mantissa:.{significant_digits - 1}f}e{exponent:+03d}"
 
 
 def _row(label: str, value: str) -> str:
@@ -157,13 +164,14 @@ def render_sweep_text(sweep: SweepResult, options: ReportOptions | None = None) 
 
 
 def _result_record(result: BfResult) -> dict:
+    bf = get_bf(result)  # null in JSON beyond the float range; log_bf is exact
     record = {
         "schema_version": 1,
         "design": result.design,
         "direction": result.direction,
         "orientation": result.orientation,
         "log_bf": result.log_bf,
-        "bf": math.exp(result.log_bf),
+        "bf": bf if math.isfinite(bf) else None,
         "prior_scale": result.prior_scale,
         "input_mode": result.input_mode,
     }

@@ -143,6 +143,21 @@ class TestSuperInvocation:
         assert "BF10 (superiority) = 51.58" in capsys.readouterr().out
 
 
+    def test_bayes_factor_beyond_float_range(self, capsys):
+        # ln BF10 is in the thousands here, far past the float range
+        args = ["super", "--n-x", "100000", "--n-y", "100000", "--mean-x", "0",
+                "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1"]
+        assert parse_and_run(args + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["log_bf"] > 709.8
+        assert payload["bf"] is None
+        assert parse_and_run(args) == 0
+        bf_line = [l for l in capsys.readouterr().out.splitlines() if "BF10" in l][0]
+        mantissa, exponent = bf_line.split("= ")[1].split("e")
+        assert 1.0 <= float(mantissa) < 10.0
+        assert int(exponent) == math.floor(payload["log_bf"] / math.log(10.0))
+
+
 class TestEquivInvocation:
     def test_symmetric_expansion_in_h0_line(self, capsys):
         rc = parse_and_run(["equiv", "--n-x", "10", "--n-y", "10", "--mean-x", "0",

@@ -163,6 +163,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SummaryCi(2, 2, 0.0, 0.0, ci_margin=0.2)
 
+    def test_non_integral_sizes_rejected(self):
+        for n_x, n_y in ((2.5, 3), (10, 10.5), (math.nan, 10), (math.inf, 10)):
+            with pytest.raises(ValidationError):
+                SummaryMoments(n_x, n_y, 0.0, 1.0, 1.0, 1.0)
+            with pytest.raises(ValidationError):
+                SummaryCi(n_x, n_y, 0.0, 1.0, ci_margin=0.5)
+        assert SummaryMoments(10.0, 12, 0.0, 1.0, 1.0, 1.0).n_x == 10
+
     def test_unsupported_input_type(self):
         with pytest.raises(ValidationError):
             derive_stats({"n_x": 3})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_moments
+from twogroupbf import engine as engine_module
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, ValidationError, derive_stats
 from twogroupbf.engine import (
     DEFAULT_PRIOR_SCALE,
@@ -329,6 +330,11 @@ class TestReciprocity:
         res = replace(super_bf(STUDY_51, TestSpec.superiority(), 0.5), log_bf=0.0)
         assert get_bf(res) == 1.0
 
+    def test_get_bf_beyond_float_range(self):
+        res = super_bf(STUDY_51, TestSpec.superiority(), 0.5)
+        assert get_bf(replace(res, log_bf=710.0)) == math.inf
+        assert get_bf(replace(res, log_bf=-800.0)) == 0.0
+
 
 class TestPriorSweep:
     def test_singleton_matches_single_run(self):
@@ -338,7 +344,7 @@ class TestPriorSweep:
         assert sweep.entries[0].result.log_bf == single.log_bf
         assert sweep.min_log_bf == sweep.max_log_bf == single.log_bf
 
-    def test_extrema_match_elementwise_results(self):
+    def test_extrema_match_elementwise_results(self, monkeypatch):
         spec = TestSpec.superiority()
         scales = [0.25, 0.5, 1.0, 2.0]
         sweep = prior_sweep(STUDY_51, spec, scales)
@@ -347,6 +353,13 @@ class TestPriorSweep:
         assert [e.result.log_bf for e in sweep.entries] == individual
         assert sweep.min_log_bf == min(individual)
         assert sweep.max_log_bf == max(individual)
+        # the stats, with the CI's t quantile, are derived once per sweep
+        calls = []
+        monkeypatch.setattr(engine_module, "derive_stats",
+                            lambda data: calls.append(data) or derive_stats(data))
+        sweep = prior_sweep(STUDY_47, TestSpec.non_inferiority(1.0, direction="low"), scales)
+        assert len(calls) == 1
+        assert all(e.result is not None for e in sweep.entries)
 
     def test_per_scale_failure_is_isolated(self):
         data = SummaryMoments(10, 10, 0.0, 0.1, 1.0, 1.0)
@@ -355,6 +368,11 @@ class TestPriorSweep:
         assert sweep.entries[0].result is not None
         assert sweep.entries[1].error is not None
         assert sweep.min_log_bf == sweep.entries[0].result.log_bf
+        # input that cannot be reduced fails at every scale, not the sweep
+        degenerate = SummaryMoments(10, 10, 0.0, 0.1, 1e-200, 1e-200)
+        sweep = prior_sweep(degenerate, spec, [0.5, 1.0])
+        assert [e.error for e in sweep.entries] == ["degenerate pooled variance"] * 2
+        assert sweep.min_log_bf is None
 
     def test_empty_scales_rejected(self):
         with pytest.raises(ValidationError):

@@ -48,6 +48,43 @@ def test_additivity_at_split_points():
         left = integrate_log(f, Interval(-math.inf, c), settings)
         right = integrate_log(f, Interval(c, math.inf), settings)
         assert np.logaddexp(left, right) == pytest.approx(whole, abs=2 * settings.rel_tol)
+        # one pass over the cut line gives the same pieces
+        pieces = integrate_log(f, Interval(-math.inf, math.inf), settings, cuts=(c,))
+        assert pieces == pytest.approx([left, right], abs=2 * settings.rel_tol)
+        assert np.logaddexp(*pieces) == pytest.approx(whole, abs=2 * settings.rel_tol)
+
+
+def test_pieces_converge_on_their_own_mass():
+    # the right piece holds e^-50 of the mass; judged against the whole
+    # line it would only get absolute accuracy
+    sd, c = 1e-4, 9.7e-4
+    f = lambda x: -0.5 * (x / sd) ** 2
+    z = c / (sd * math.sqrt(2.0))
+    scale = sd * math.sqrt(math.pi / 2.0)
+    exact = [math.log(scale * math.erfc(-z)), math.log(scale * math.erfc(z))]
+    assert exact[1] - exact[0] == pytest.approx(-50.2, abs=0.1)
+    pieces = integrate_log(f, Interval(-math.inf, math.inf), cuts=(c,))
+    for got, want in zip(pieces, exact):
+        assert math.exp(got - want) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_pieces_of_left_half_line_come_in_increasing_order():
+    # the (-inf, b) map runs against x; the pieces must not
+    f = lambda x: cauchy_logpdf(x, 1.0)
+    cdf = lambda x: 0.5 + math.atan(x) / math.pi
+    pieces = integrate_log(f, Interval(-math.inf, 1.0), cuts=(-4.0, 0.5))
+    exact = [cdf(-4.0), cdf(0.5) - cdf(-4.0), cdf(1.0) - cdf(0.5)]
+    assert pieces == pytest.approx([math.log(p) for p in exact], abs=1e-10)
+
+
+def test_cut_validation():
+    f = lambda x: -x * x
+    for cuts in ((2.0,), (0.5, 0.5), (0.7, 0.3), (-1.0,)):
+        with pytest.raises(ValueError):
+            integrate_log(f, Interval(0.0, 1.5), cuts=cuts)
+    # atan(1e17) rounds to pi/2: the last piece would have no width
+    with pytest.raises(QuadratureError):
+        integrate_log(f, Interval(-math.inf, math.inf), cuts=(1e17,))
 
 
 def test_log_shift_invariance():

@@ -129,8 +129,6 @@ class TestRenderText:
             ReportOptions(format="yaml")
         with pytest.raises(ValueError):
             ReportOptions(significant_digits=1)
-        with pytest.raises(ValueError):
-            ReportOptions(curve_points=1)
 
 
 class TestRenderJson:
