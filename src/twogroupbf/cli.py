@@ -91,6 +91,20 @@ def _read_column(path: str, label: str) -> list:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads every token that parses as a float as a value, not a flag.
+
+    argparse itself takes ``-1e-3`` for an unknown flag; no flag here is a float.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("data input (choose exactly one mode)")
     group.add_argument("--raw", metavar="CSV", help="raw observations (header group,value)")
@@ -123,7 +137,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twogroupbf",
         description="Bayes factors for two-group superiority, non-inferiority, "
                     "and equivalence designs.",

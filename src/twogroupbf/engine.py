@@ -2,22 +2,16 @@
 
 The sampling model is reduced to the observed t statistic, whose likelihood
 given the standardized effect delta is noncentral t with noncentrality
-delta * sqrt(n_eff).  A zero-location Cauchy prior (possibly truncated and
-renormalized) is placed on delta.  Each design is one row of a table: the
-cuts that split the prior's support into pieces, which pieces make up H1,
-and the orientation of the reported Bayes factor.
+delta * sqrt(n_eff).  A zero-location Cauchy prior is placed on delta.
 
-* superiority:      no cuts; BF10 = marginal likelihood under the
-                    (half-)Cauchy alternative over the central-t density at
-                    the point null
-* non-inferiority:  one cut at the margin; BF10 = posterior odds of the two
-                    pieces divided by their Cauchy prior odds (the
-                    interval-null odds of Morey & Rouder, 2011)
-* equivalence:      cuts at both ends of the interval; BF01 = the same odds
-                    for inside versus outside; a degenerate (0, 0) interval
-                    short-cuts to the Savage-Dickey density ratio at zero
-
-All pieces of one Bayes factor come from a single quadrature pass.
+Every test weighs two hypotheses about delta by their average likelihood
+and reports the ratio.  A hypothesis made of pieces of the delta axis
+averages the likelihood against the prior over those pieces (the
+interval-null odds of Morey & Rouder, 2011); the point null delta = 0
+takes the likelihood there.  Each design is one table row: the region of
+delta in play, the cuts that split it into pieces, and which pieces make
+up H1 and H0.  All pieces of one Bayes factor come from a single
+quadrature pass.
 
 A benefit direction of "low" is folded away at the door: the mean
 difference is negated and the computation proceeds as if high scores were
@@ -63,9 +57,11 @@ __all__ = [
 
 DEFAULT_PRIOR_SCALE = 1.0 / math.sqrt(2.0)
 
-# Region constructions reject splits leaving less prior mass than this on
-# either side; the odds are meaningless beyond it.
+# A hypothesis holding less prior mass than this is rejected; its average
+# likelihood is meaningless beyond it.
 _MIN_REGION_PRIOR_MASS = 1e-15
+
+_WHOLE_LINE = Interval(-math.inf, math.inf)
 
 Design = Literal["superiority", "non_inferiority", "equivalence"]
 Direction = Literal["high", "low"]
@@ -75,32 +71,29 @@ Orientation = Literal["bf10", "bf01"]
 
 @dataclass(frozen=True)
 class CauchyPrior:
-    """Zero-location Cauchy on delta, optionally truncated and renormalized."""
+    """Zero-location Cauchy on delta."""
 
     scale: float = DEFAULT_PRIOR_SCALE
-    truncation: Interval = Interval(-math.inf, math.inf)
 
     def __post_init__(self):
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("prior scale must be a positive finite number")
-        if self.mass(self.truncation.lower, self.truncation.upper) < _MIN_REGION_PRIOR_MASS:
-            raise ValidationError("truncation interval carries no Cauchy mass")
 
     def mass(self, lower: float, upper: float) -> float:
-        """Untruncated Cauchy mass of (lower, upper)."""
-        return specfun.cauchy_cdf(upper, self.scale) - specfun.cauchy_cdf(lower, self.scale)
+        """Cauchy mass of (lower, upper), to full relative accuracy in the tails.
 
-    @property
-    def log_norm(self) -> float:
-        return math.log(self.mass(self.truncation.lower, self.truncation.upper))
+        Each end enters as an angle measured from the axis it is nearer to,
+        atan(x/scale) in the body and atan(scale/x) in the tail, so a far
+        tail's mass is not the difference of two numbers near 1/2.
+        """
+        if upper <= 0.0:  # mirror into the upper half
+            lower, upper = -upper, -lower
+        if lower >= self.scale:
+            return (math.atan2(self.scale, lower) - math.atan2(self.scale, upper)) / math.pi
+        return (math.atan2(upper, self.scale) - math.atan2(lower, self.scale)) / math.pi
 
     def logpdf(self, delta):
-        """Renormalized log density; -inf outside the truncation interval."""
-        delta = np.asarray(delta, dtype=float)
-        dens = specfun.cauchy_logpdf(delta, self.scale) - self.log_norm
-        inside = (delta > self.truncation.lower) & (delta < self.truncation.upper)
-        out = np.where(inside, dens, -math.inf)
-        return float(out[()]) if out.ndim == 0 else out
+        return specfun.cauchy_logpdf(delta, self.scale)
 
 
 @dataclass(frozen=True)
@@ -223,7 +216,7 @@ _INPUT_MODES = ((RawGroups, "raw"), (SummaryMoments, "summary-moments"), (Summar
 
 
 def _log_joint(stats: DerivedStats, t: float, prior: CauchyPrior):
-    """ln of likelihood times truncated-prior density, as a function of delta."""
+    """ln of likelihood times prior density, as a function of delta."""
     sqrt_n = math.sqrt(stats.n_eff)
 
     def joint(delta):
@@ -237,75 +230,66 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior,
                           settings: QuadratureSettings | None = None):
     """Normalized log posterior density of delta given the observed t.
 
-    Proportional to likelihood times prior; the normalizer is integrated
-    over the prior's truncation interval, so the density integrates to one
-    there.  Broadcasts over ``delta``.
+    Proportional to likelihood times prior, normalized over the whole line.
+    Broadcasts over ``delta``.
     """
     joint = _log_joint(stats, stats.t_obs, prior)
-    return joint(delta) - integrate_log(joint, prior.truncation, settings)
+    return joint(delta) - integrate_log(joint, _WHOLE_LINE, settings)
 
 
 def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float,
                      settings: QuadratureSettings | None = None) -> float:
-    """BF01 for the point null delta = delta0 nested in the prior's support.
+    """BF01 for the point null delta = delta0 against the prior.
 
     The density ratio shortcut: posterior density over prior density at the
-    null point.
+    null point.  The engine does not use it; it is an independent route to
+    the point-null Bayes factor.
     """
-    if not prior.truncation.lower < delta0 < prior.truncation.upper:
-        raise ValidationError("delta0 lies outside the prior's truncation interval")
+    if not math.isfinite(delta0):
+        raise ValidationError("delta0 must be finite")
     log_post = posterior_log_density(delta0, stats, prior, settings)
     return math.exp(float(log_post) - float(prior.logpdf(delta0)))
 
 
-# Each design lays its hypotheses out on the effect axis: the prior, the
-# cuts that split its support into pieces, and which pieces make up H1
-# (the rest are H0).  No H1 pieces means a point null at delta = 0 against
-# the whole prior.  The layout also carries the fields its report shows.
+# Each design lays its hypotheses out on the effect axis: the region of
+# delta in play, the cuts that split it into pieces, and which pieces make
+# up H1 and H0.  H0 = None is the point null delta = 0.  The layout also
+# carries the fields its report shows.
 
 @dataclass(frozen=True)
 class _Layout:
-    prior: CauchyPrior
+    region: Interval = _WHOLE_LINE
     cuts: Tuple[float, ...] = ()
-    h1: Tuple[int, ...] = ()
+    h1: Tuple[int, ...] = (0,)
+    h0: Optional[Tuple[int, ...]] = None
     fields: dict = field(default_factory=dict)
 
 
-def _superiority(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
-    lower = -math.inf if spec.alternative == "two_sided" else 0.0
-    return _Layout(CauchyPrior(scale=scale, truncation=Interval(lower, math.inf)),
-                   fields={"alternative": spec.alternative})
+def _superiority(spec: TestSpec, stats: DerivedStats) -> _Layout:
+    region = _WHOLE_LINE if spec.alternative == "two_sided" else Interval(0.0, math.inf)
+    return _Layout(region, fields={"alternative": spec.alternative})
 
 
-def _non_inferiority(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
+def _non_inferiority(spec: TestSpec, stats: DerivedStats) -> _Layout:
     # H0: delta < -margin versus H1: delta > -margin, in benefit-oriented units
     margin_std = standardize_margin(spec.ni_margin, spec.ni_margin_std, stats)
     margin_unstd = spec.ni_margin if not spec.ni_margin_std else spec.ni_margin * stats.sd_pooled
-    prior, split = CauchyPrior(scale=scale), -margin_std
-    if min(prior.mass(-math.inf, split), prior.mass(split, math.inf)) < _MIN_REGION_PRIOR_MASS:
-        raise ValidationError(f"margin {split:g} leaves essentially no prior mass on one side")
-    return _Layout(prior, cuts=(split,), h1=(1,),
+    return _Layout(cuts=(-margin_std,), h1=(1,), h0=(0,),
                    fields={"margin_std": margin_std, "margin_unstd": margin_unstd})
 
 
-def _equivalence(spec: TestSpec, stats: DerivedStats, scale: float) -> _Layout:
+def _equivalence(spec: TestSpec, stats: DerivedStats) -> _Layout:
     # H0: delta inside the interval, in benefit-oriented units; (0, 0) is
     # the point null
     lo, hi = (standardize_margin(v, spec.interval_std, stats) for v in spec.interval)
     unstd = (tuple(v * stats.sd_pooled for v in spec.interval) if spec.interval_std
              else spec.interval)
     fields = {"interval_std": (lo, hi), "interval_unstd": unstd}
-    prior = CauchyPrior(scale=scale)
     if lo == hi == 0.0:
-        return _Layout(prior, fields=fields)
+        return _Layout(fields=fields)
     if lo == hi:
         raise ValidationError("a point equivalence hypothesis must sit at 0")
-    p_in = prior.mass(lo, hi)
-    if p_in < _MIN_REGION_PRIOR_MASS:
-        raise ValidationError("equivalence interval carries no prior mass")
-    if 1.0 - p_in < _MIN_REGION_PRIOR_MASS:
-        raise ValidationError("equivalence interval leaves no prior mass outside")
-    return _Layout(prior, cuts=(lo, hi), h1=(0, 2), fields=fields)
+    return _Layout(cuts=(lo, hi), h1=(0, 2), h0=(1,), fields=fields)
 
 
 # design -> (orientation of the reported BF, layout)
@@ -316,32 +300,34 @@ _DESIGNS = {
 }
 
 
-def _log_odds(logs: Sequence[float], h1: Tuple[int, ...]) -> float:
-    """ln of the H1 total over the H0 total of per-piece log values."""
-    h0 = [v for k, v in enumerate(logs) if k not in h1]
-    return float(np.logaddexp.reduce([logs[k] for k in h1]) - np.logaddexp.reduce(h0))
-
-
 def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec, prior_scale: float,
               settings: QuadratureSettings | None) -> BfResult:
-    """The Bayes factor of ``spec``'s table row, from already derived stats."""
+    """The Bayes factor of ``spec``'s table row, from already derived stats.
+
+    ln BF10 = avg(H1) - avg(H0), where a hypothesis's log average
+    likelihood is the log marginal of its pieces minus their log prior
+    mass, or the log likelihood at delta = 0 for the point null.
+    """
     orientation, layout = _DESIGNS[spec.design]
-    hyp = layout(spec, stats, prior_scale)
+    hyp = layout(spec, stats)
+    prior = CauchyPrior(scale=prior_scale)
+    edges = (hyp.region.lower, *hyp.cuts, hyp.region.upper)
+    masses = [prior.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    log_prior = []
+    for name, pieces in (("H1", hyp.h1), ("H0", hyp.h0)):
+        # the point null holds all of its prior mass at delta = 0
+        mass = 1.0 if pieces is None else sum(masses[k] for k in pieces)
+        if not mass >= _MIN_REGION_PRIOR_MASS:
+            raise ValidationError(f"{name} carries essentially no prior mass ({mass:.3g})")
+        log_prior.append(math.log(mass))
+
     t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
-    joint = _log_joint(stats, t_c, hyp.prior)
-    if hyp.h1:
-        # interval-null odds: posterior odds of the pieces over their prior odds
-        log_m = integrate_log(joint, hyp.prior.truncation, settings, hyp.cuts)
-        edges = (-math.inf, *hyp.cuts, math.inf)
-        log_p = [math.log(hyp.prior.mass(a, b)) for a, b in zip(edges[:-1], edges[1:])]
-        log_bf10 = _log_odds(log_m, hyp.h1) - _log_odds(log_p, hyp.h1)
-    elif orientation == "bf10":
-        # marginal likelihood over the likelihood at the point null
-        log_bf10 = (integrate_log(joint, hyp.prior.truncation, settings)
-                    - float(specfun.central_t_logpdf(t_c, stats.df)))
-    else:
-        # the Savage-Dickey density ratio gives BF01 directly
-        log_bf10 = -math.log(savage_dickey_bf(replace(stats, t_obs=t_c), hyp.prior, 0.0, settings))
+    log_m = integrate_log(_log_joint(stats, t_c, prior), hyp.region, settings, hyp.cuts)
+    log_m = log_m if hyp.cuts else [log_m]
+    log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
+                else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
+               for pieces, log_p in zip((hyp.h1, hyp.h0), log_prior)]
+    log_bf10 = log_avg[0] - log_avg[1]
     log_bf = log_bf10 if orientation == "bf10" else -log_bf10
     return BfResult(log_bf=log_bf, orientation=orientation, design=spec.design,
                     direction=spec.direction, prior_scale=prior_scale,
@@ -363,8 +349,8 @@ def _require(spec: TestSpec, design: Design, message: str) -> None:
 def super_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
              settings: QuadratureSettings | None = None) -> BfResult:
     """Superiority test (BF10): the point null delta = 0 against the full
-    Cauchy (two-sided) or the renormalized half-Cauchy on the beneficial
-    side (one-sided)."""
+    Cauchy (two-sided) or the Cauchy restricted to the beneficial side
+    delta > 0 (one-sided)."""
     _require(spec, "superiority", "super_bf requires a superiority TestSpec")
     return run_test(data, spec, prior_scale, settings)
 

@@ -65,13 +65,7 @@ def default_span(prior: CauchyPrior) -> Interval:
     """Symmetric span leaving less than 1e-10 of the prior's mass outside."""
     # aim at 0.9e-10 so rounding cannot push the uncovered mass over 1e-10
     half = prior.scale * math.tan(math.pi * (0.5 - 0.45 * _SPAN_TAIL))
-    lo = max(-half, prior.truncation.lower)
-    hi = min(half, prior.truncation.upper)
-    if not math.isfinite(lo):
-        lo = -half
-    if not math.isfinite(hi):
-        hi = half
-    return Interval(lo, hi)
+    return Interval(-half, half)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +89,7 @@ def _mixture_exponent(u, t, df, ncp):
 
 
 # locating the cutoffs to ~1e-7 of the bracket is plenty: the integrand is
-# ~e^-60 there, so the truncation error barely moves
+# ~e^-60 there, so the cut-off error barely moves
 _BISECT_STEPS = 24
 
 

@@ -217,7 +217,7 @@ def emit_density_curves(stats: DerivedStats, prior: CauchyPrior, region: Interva
     """Prior and posterior densities of delta on an even grid.
 
     Returns (delta, prior_density, posterior_density) arrays; the posterior
-    column is normalized over the prior's truncation interval.
+    column is normalized over the whole line.
     """
     if points < 2:
         raise ValueError("need at least 2 curve points")

@@ -174,6 +174,18 @@ class TestEquivInvocation:
         assert rc == 0
         assert "mu_y - mu_x = 0" in capsys.readouterr().out
 
+    def test_point_null_below_float_range(self, capsys):
+        # exp(ln BF01) underflows to 0.0 here; the report comes from ln BF01
+        args = ["--n-x", "20000", "--n-y", "20000", "--mean-x", "0", "--mean-y", "0.5",
+                "--sd-x", "1", "--sd-y", "1"]
+        assert parse_and_run(["equiv", *args]) == 0
+        assert "    BF01 (equivalence) = 3.41e-525\n" in capsys.readouterr().out
+        assert parse_and_run(["equiv", *args, "--format", "json"]) == 0
+        equiv = json.loads(capsys.readouterr().out)
+        assert parse_and_run(["super", *args, "--format", "json"]) == 0
+        superiority = json.loads(capsys.readouterr().out)
+        assert equiv["log_bf"] == -superiority["log_bf"]
+
 
 class TestSweepInvocation:
     def test_reports_min_and_max(self, capsys):
@@ -233,6 +245,27 @@ class TestSplitRawFiles:
         assert "non-numeric value 'oops'" in capsys.readouterr().err
 
 
+class TestNegativeNumberSpellings:
+    @staticmethod
+    def _argv(sub, mean_x, lower):
+        data = ["--n-x", "20", "--n-y", "24", "--mean-x", mean_x, "--mean-y", "0.3",
+                "--sd-x", "1", "--sd-y", "1.2"]
+        extra = {"super": [],
+                 "infer": ["--ni-margin", "2e-1"],
+                 "equiv": ["--interval", lower, "3e-1"],
+                 "sweep": ["--design", "equiv", "--scales", "5e-1", "1",
+                           "--interval", lower, "3e-1"]}[sub]
+        return [sub, *data, *extra]
+
+    @pytest.mark.parametrize("sub", ["super", "infer", "equiv", "sweep"])
+    def test_scientific_notation_reads_as_a_value(self, sub, capsys):
+        outputs = []
+        for mean_x, lower in (("-1e-3", "-2e-1"), ("-0.001", "-0.2")):
+            assert parse_and_run(self._argv(sub, mean_x, lower)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestValidationAndExitCodes:
     def test_conflicting_input_modes(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -263,6 +296,8 @@ class TestValidationAndExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert parse_and_run(["super", "--bogus", "1"]) == 2
+        # a dash token that is not a float stays a flag
+        assert parse_and_run(["super", "-e3"]) == 2
 
     def test_unknown_subcommand(self):
         assert parse_and_run(["frobnicate"]) == 2

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from twogroupbf.engine import (
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
 from twogroupbf.quadrature import Interval, integrate_log
-from twogroupbf.specfun import cauchy_cdf
+from twogroupbf.specfun import cauchy_cdf, noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
 STUDY_47 = SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95)
@@ -34,15 +35,6 @@ class TestPosteriorDensity:
         total = integrate_log(
             lambda d: posterior_log_density(d, stats, prior),
             Interval(-math.inf, math.inf),
-        )
-        assert total == pytest.approx(0.0, abs=1e-8)
-
-    def test_normalizes_over_truncation(self):
-        stats = derive_stats(SummaryMoments(15, 12, 0.2, 0.9, 1.1, 0.9))
-        prior = CauchyPrior(scale=1.0, truncation=Interval(0.0, math.inf))
-        total = integrate_log(
-            lambda d: posterior_log_density(d, stats, prior),
-            Interval(0.0, math.inf),
         )
         assert total == pytest.approx(0.0, abs=1e-8)
 
@@ -188,7 +180,8 @@ class TestEquivalence:
             data = random_moments(rng)
             e = equiv_bf(data, TestSpec.equivalence(0.0))
             s = super_bf(data, TestSpec.superiority(alternative="two_sided"))
-            assert e.log_bf + s.log_bf == pytest.approx(0.0, abs=1e-8)
+            # both come from the same marginal and the same point likelihood
+            assert e.log_bf == -s.log_bf
 
     def test_small_instance_against_grid_oracle(self):
         data = SummaryMoments(10, 10, 0.0, 0.05, 1.0, 1.0)
@@ -206,7 +199,6 @@ class TestEquivalence:
         stats = derive_stats(data)
         prior = CauchyPrior()
         sqrt_n = math.sqrt(stats.n_eff)
-        from twogroupbf.specfun import noncentral_t_logpdf
 
         def joint(d):
             return noncentral_t_logpdf(stats.t_obs, stats.df, d * sqrt_n) + prior.logpdf(d)
@@ -245,11 +237,60 @@ class TestEquivalence:
         with pytest.raises(ValidationError):
             equiv_bf(data, TestSpec.equivalence(1e-9, standardized=True),
                      prior_scale=1e9)
+        # an interval holding all but ~6e-20 of the prior leaves H1 empty
+        with pytest.raises(ValidationError):
+            equiv_bf(data, TestSpec.equivalence(1e16, standardized=True),
+                     prior_scale=1e-3)
 
     def test_orientation_is_bf01(self):
         res = equiv_bf(SummaryMoments(10, 10, 0.0, 0.1, 1.0, 1.0),
                        TestSpec.equivalence(0.3, standardized=True))
         assert res.orientation == "bf01"
+
+
+class TestPriorMass:
+    @pytest.mark.parametrize("ratio", [10.0 ** k for k in range(2, 15)])
+    def test_tails_against_mpmath(self, ratio):
+        for scale in (1e-5, DEFAULT_PRIOR_SCALE, 3.0):
+            prior = CauchyPrior(scale)
+            x = ratio * scale
+            with mpmath.workdps(50):
+                tail = mpmath.atan(mpmath.mpf(scale) / mpmath.mpf(x)) / mpmath.pi
+                body = 1 - tail
+            for got, exact in ((prior.mass(-math.inf, -x), tail),
+                               (prior.mass(x, math.inf), tail),
+                               (prior.mass(-x, math.inf), body),
+                               (prior.mass(-math.inf, x), body)):
+                assert got == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    def test_halves_and_whole_line_are_exact(self):
+        prior = CauchyPrior(0.3)
+        assert prior.mass(-math.inf, math.inf) == 1.0
+        for lower, upper in ((0.0, math.inf), (-0.0, math.inf), (-math.inf, 0.0),
+                             (-math.inf, -0.0)):
+            assert prior.mass(lower, upper) == 0.5
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-5])
+    def test_far_tail_margin_against_mpmath_masses(self, scale):
+        # the margin sits 1e9 to 1e11 prior scales out; the prior odds of
+        # its two sides must not lose digits to cancellation
+        data = SummaryMoments(50, 50, 0.0, -1e6, 1.0, 1.0)
+        res = infer_bf(data, TestSpec.non_inferiority(1e6, standardized=True),
+                       prior_scale=scale)
+        stats = derive_stats(data)
+        prior = CauchyPrior(scale)
+        sqrt_n = math.sqrt(stats.n_eff)
+
+        def joint(d):
+            return (noncentral_t_logpdf(stats.t_obs, stats.df, np.asarray(d) * sqrt_n)
+                    + prior.logpdf(d))
+
+        log_below, log_above = integrate_log(joint, Interval(-math.inf, math.inf),
+                                             cuts=(-1e6,))
+        with mpmath.workdps(50):
+            tail = mpmath.atan(mpmath.mpf(scale) / mpmath.mpf(1e6)) / mpmath.pi
+            log_prior_odds = float(mpmath.log((1 - tail) / tail))
+        assert res.log_bf == pytest.approx(log_above - log_below - log_prior_odds, abs=1e-9)
 
 
 class TestSavageDickey:
@@ -289,11 +330,11 @@ class TestSavageDickey:
         delta0 = (lo + hi) / 2.0
         assert savage_dickey_bf(stats, prior, delta0) == pytest.approx(1.0, rel=1e-8)
 
-    def test_point_outside_truncation_rejected(self):
+    def test_non_finite_point_rejected(self):
         stats = derive_stats(SummaryMoments(8, 8, 0.0, 0.3, 1.0, 1.0))
-        prior = CauchyPrior(truncation=Interval(0.0, math.inf))
-        with pytest.raises(ValidationError):
-            savage_dickey_bf(stats, prior, -1.0)
+        for delta0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                savage_dickey_bf(stats, CauchyPrior(), delta0)
 
 
 class TestDirectionMirror:
