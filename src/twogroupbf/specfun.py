@@ -22,7 +22,6 @@ __all__ = [
     "central_t_logpdf",
     "noncentral_t_logpdf",
     "cauchy_logpdf",
-    "cauchy_cdf",
     "student_t_quantile",
     "student_t_cdf",
 ]
@@ -80,6 +79,24 @@ def log_gamma(x):
     return float(out[0]) if scalar else out
 
 
+def _stirling_rest(x):
+    """ln Gamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)] for a scalar x > 0.
+
+    Differences of ln Gamma near 1e7 lose ~1e-9 to rounding; written
+    through this small remainder they keep full absolute accuracy.
+    """
+    if x < 20.0:
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + LN_SQRT_2PI)
+    y = 1.0 / (x * x)
+    return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y * (1 / 1680 - y / 1188)))) / x
+
+
+def _log_gamma_half_ratio(x):
+    """ln Gamma(x + 1/2) - ln Gamma(x) for a scalar x > 0."""
+    return (0.5 * math.log(x) + (x * math.log1p(0.5 / x) - 0.5)
+            + _stirling_rest(x + 0.5) - _stirling_rest(x))
+
+
 # ---------------------------------------------------------------------------
 # Student t (central)
 # ---------------------------------------------------------------------------
@@ -90,8 +107,7 @@ def central_t_logpdf(t, df):
         raise DomainError("central_t_logpdf requires df > 0")
     t = np.asarray(t, dtype=float)
     return (
-        log_gamma((df + 1.0) / 2.0)
-        - log_gamma(df / 2.0)
+        _log_gamma_half_ratio(df / 2.0)
         - 0.5 * (math.log(df) + LN_PI)
         - ((df + 1.0) / 2.0) * np.log1p(t * t / df)
     )
@@ -108,15 +124,6 @@ def cauchy_logpdf(x, scale):
     x = np.asarray(x, dtype=float)
     z = x / scale
     return -math.log(math.pi * scale) - np.log1p(z * z)
-
-
-def cauchy_cdf(x, scale):
-    """CDF of a zero-location Cauchy: 1/2 + arctan(x/scale)/pi."""
-    if scale <= 0.0 or math.isnan(scale):
-        raise DomainError("cauchy_cdf requires scale > 0")
-    x = np.asarray(x, dtype=float)
-    out = 0.5 + np.arctan(x / scale) / math.pi
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +148,59 @@ def cauchy_cdf(x, scale):
 _SERIES_A_MIN = 1e-3
 _SERIES_A_MAX = 40.0
 _SERIES_MAX_TERMS = 20_000
-_QUAD_NODES = 1600
+_QUAD_NODES = 96  # agree with 1600 nodes to 5e-16 (relative, on ln I)
 _QUAD_DROP = 60.0  # integrand truncated where it falls this many nats below its peak
+_SERIES_TABLES = {}  # df -> the k-only part of the log series terms, for the last 8 df
 
 
 def _series_terms_needed(df, a):
     return a * a + 12.0 * a + 2.0 * math.sqrt(df) * a + 80.0
 
 
+def _series_table(df, n):
+    """ln[2^((df+k-1)/2) Gamma((df+k+1)/2) / k!] for k = 0 .. at least n - 1.
+
+    Built on first use, grown by doubling, kept for the last few df only.
+    """
+    table = _SERIES_TABLES.pop(df, None)
+    if table is None or table.size < n:
+        k = np.arange(max(n, 256, 2 * (0 if table is None else table.size)), dtype=float)
+        table = (df + k - 1.0) / 2.0 * LN_2 + log_gamma((df + k + 1.0) / 2.0) - log_gamma(k + 1.0)
+    _SERIES_TABLES[df] = table  # most recently used last
+    if len(_SERIES_TABLES) > 8:
+        del _SERIES_TABLES[next(iter(_SERIES_TABLES))]
+    return table
+
+
 def _log_hh_series(df, a):
     """ln I(a) by the exact series, vectorized over a > 0.
 
     I(a) = e^{-a^2/2} sum_k  a^k / k!  2^{(df+k-1)/2} Gamma((df+k+1)/2),
-    all terms positive, summed by log-sum-exp.  Cost grows like a^2 terms.
+    all terms positive, summed by log-sum-exp.  Each point sums only a
+    window around its own largest term, where (k+1)^2 ~ a^2 (df + k + 1/2):
+    12 widths sqrt(2k + 1) of the log terms' parabola, plus 20 terms for a
+    peak near k = 0 at df < 1, where the fall-off is slower (with 10, ln I
+    at df = 0.01, a ~ 1.4 was 2e-9 short; with 20, within 5e-15).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    n_terms = int(min(_series_terms_needed(df, float(a.max())), _SERIES_MAX_TERMS))
-    k = np.arange(n_terms, dtype=float)
-    const_k = (
-        -log_gamma(k + 1.0)
-        + ((df + k - 1.0) / 2.0) * LN_2
-        + log_gamma((df + k + 1.0) / 2.0)
-    )
-    log_terms = k[None, :] * np.log(a)[:, None] + const_k[None, :]
-    m = log_terms.max(axis=1)
-    return m + np.log(np.exp(log_terms - m[:, None]).sum(axis=1)) - a * a / 2.0
+    a2 = a * a
+    disc = np.sqrt(np.maximum(a2 * (a2 + 4.0 * (df - 0.5)), 0.0))
+    k_peak = np.maximum((a2 + disc) / 2.0 - 1.0, 0.0)
+    half = 12.0 * np.sqrt(2.0 * k_peak + 1.0) + 20.0
+    lo = np.maximum(k_peak - half, 0.0).astype(np.intp)
+    size = (k_peak + half).astype(np.intp) + 1 - lo
+    first = np.cumsum(size) - size  # each window's offset in the flat arrays
+    owner = np.repeat(np.arange(a.size), size)
+    k = np.arange(first[-1] + size[-1]) - np.repeat(first - lo, size)
+    log_terms = k * np.log(a)[owner] + _series_table(df, int(k.max()) + 1)[k]
+    m = np.maximum.reduceat(log_terms, first)
+    return m + np.log(np.add.reduceat(np.exp(log_terms - m[owner]), first)) - a2 / 2.0
 
 
 # Gauss-Legendre panels for the w-space route: edges double away from the
 # mode in curvature units so the long exponential tail at small df is
 # resolved as sharply as the peak.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)  # as 64 to 9e-16
 _PANEL_EDGES = np.array(
     [-64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 )
@@ -218,11 +247,10 @@ def _log_hh_quad_small(df, a):
     mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
     w = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
     g = (df + 1.0) * w - (np.exp(w) - a[:, None, None]) ** 2 / 2.0
-    with np.errstate(divide="ignore"):  # collapsed panels have zero width
-        log_w = np.log(_GL_WEIGHTS)[None, None, :] + np.log(half)[:, :, None]
-    g = (g + log_w).reshape(a.size, -1)
-    m = g.max(axis=1)
-    return m + np.log(np.exp(g - m[:, None]).sum(axis=1))
+    m = g.max(axis=(1, 2))
+    # collapsed panels have zero width and drop out of the weighted sum
+    vals = np.exp(g - m[:, None, None]) * (half[:, :, None] * _GL_WEIGHTS)
+    return m + np.log(vals.sum(axis=(1, 2)))
 
 
 def _log_hh_quad_large(df, a):
@@ -251,21 +279,17 @@ def _log_hh_quad_large(df, a):
 def _log_hh(df, a):
     """ln I(a) for an array of reduced noncentralities, branch per regime."""
     out = np.empty(a.shape)
-    series = (a > _SERIES_A_MIN) & (a <= _SERIES_A_MAX)
-    if series.any() and _series_terms_needed(df, float(a[series].max())) > _SERIES_MAX_TERMS:
-        series &= False
-    large = ~series & (a > _SERIES_A_MAX)
-    small = ~series & ~large
-    if series.any():
-        out[series] = _log_hh_series(df, a[series])
-    if large.any():
-        out[large] = _log_hh_quad_large(df, a[large])
-    if small.any():
-        out[small] = _log_hh_quad_small(df, a[small])
+    series = ((a > _SERIES_A_MIN) & (a <= _SERIES_A_MAX)
+              & (_series_terms_needed(df, a) <= _SERIES_MAX_TERMS))
+    large = a > _SERIES_A_MAX
+    for route, where in ((_log_hh_series, series), (_log_hh_quad_large, large),
+                         (_log_hh_quad_small, ~(series | large))):
+        if where.any():
+            out[where] = route(df, a[where])
     return out
 
 
-_EVAL_CHUNK = 2048  # bounds the (points x series-terms) work matrices
+_EVAL_CHUNK = 2048  # bounds the per-call work arrays (series windows, quadrature nodes)
 
 
 def noncentral_t_logpdf(t, df, ncp):
@@ -277,15 +301,12 @@ def noncentral_t_logpdf(t, df, ncp):
     """
     if df <= 0.0 or math.isnan(df):
         raise DomainError("noncentral_t_logpdf requires df > 0")
-    t_arr = np.asarray(t, dtype=float)
-    ncp_arr = np.asarray(ncp, dtype=float)
-    scalar = t_arr.ndim == 0 and ncp_arr.ndim == 0
-    t_arr, ncp_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(ncp_arr))
-    shape = t_arr.shape
-    t_flat = t_arr.reshape(-1)
-    n_flat = ncp_arr.reshape(-1)
+    t_arr, ncp_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(ncp, dtype=float))
+    t_flat, n_flat = t_arr.ravel(), ncp_arr.ravel()
 
-    log_k = LN_2 + (df / 2.0) * math.log(df / 2.0) - log_gamma(df / 2.0) - LN_SQRT_2PI
+    # ln K = ln 2 + x ln x - ln Gamma(x) - ln sqrt(2 pi), x = df/2, through Stirling
+    x = df / 2.0
+    log_k = LN_2 + 0.5 * math.log(x) + x - _stirling_rest(x) - 2.0 * LN_SQRT_2PI
 
     out = np.full(t_flat.shape, -math.inf)
     for s in range(0, t_flat.size, _EVAL_CHUNK):
@@ -298,15 +319,9 @@ def noncentral_t_logpdf(t, df, ncp):
         ok = np.isfinite(gauss) & np.isfinite(tt)
         if ok.any():
             a = nn[ok] * tt[ok] / np.sqrt(big_a[ok])
-            block = out[s:s + _EVAL_CHUNK]
-            block[ok] = (
-                log_k
-                - gauss[ok]
-                - ((df + 1.0) / 2.0) * np.log(big_a[ok])
-                + _log_hh(df, a)
-            )
-    out = out.reshape(shape)
-    return float(out[0]) if scalar else out
+            out[s:s + _EVAL_CHUNK][ok] = (log_k - gauss[ok] + _log_hh(df, a)
+                                          - (df + 1.0) / 2.0 * np.log(big_a[ok]))
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -331,66 +346,77 @@ def _betacf(a, b, x):
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # even, then odd step
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _BETACF_FPMIN:
+                d = _BETACF_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETACF_FPMIN:
+                c = _BETACF_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     return h  # converged to working precision in practice long before this
 
 
-def _betainc_reg(a, b, x, xc=None):
-    """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1.
-
-    ``xc`` is the complement 1 - x; supplying it exactly avoids the
-    cancellation of forming 1 - x when x is close to 1.
-    """
-    if xc is None:
-        xc = 1.0 - x
-    if x <= 0.0:
-        return 0.0
-    if xc <= 0.0:
-        return 1.0
-    ln_front = (
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-        + a * math.log(x) + b * math.log(xc)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _betacf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _betacf(b, a, xc) / b
-
-
 def student_t_cdf(t, df):
-    """CDF of Student's t via the regularized incomplete beta."""
+    """CDF of Student's t via the regularized incomplete beta I_x(df/2, 1/2)."""
     if df <= 0.0 or math.isnan(df):
         raise DomainError("student_t_cdf requires df > 0")
     if math.isnan(t):
         raise DomainError("student_t_cdf requires finite t")
     if t == 0.0:
         return 0.5
-    tsq = t * t
-    half_tail = 0.5 * _betainc_reg(df / 2.0, 0.5, df / (df + tsq), tsq / (df + tsq))
-    return half_tail if t < 0.0 else 1.0 - half_tail
+    a, tsq = df / 2.0, t * t
+    x, xc = df / (df + tsq), tsq / (df + tsq)
+    if x <= 0.0:
+        return 0.0 if t < 0.0 else 1.0
+    # ln[x^a xc^(1/2) / B(a, 1/2)], with ln x = -log1p(t^2/df): no rounded x
+    ln_front = (_log_gamma_half_ratio(a) - 0.5 * LN_PI
+                - a * math.log1p(tsq / df) + 0.5 * math.log(xc))
+    # the direct fraction keeps a far tail's relative accuracy but loses ~a * 1e-16
+    # near its switch; for t^2 < 9 the complement is exact to ~1e-16 in <= 40 steps
+    if tsq >= 9.0 and x < (a + 1.0) / (a + 2.5):
+        tail = math.exp(ln_front) * _betacf(a, 0.5, x) / a
+    else:
+        tail = 1.0 - math.exp(ln_front) * _betacf(0.5, a, xc) / 0.5
+    return 0.5 * tail if t < 0.0 else 1.0 - 0.5 * tail
+
+
+def _hill_start(p, df):
+    """Hill's approximate t quantile (CACM Algorithm 396, 1970) for p > 1/2.
+
+    Its normal deviate (A&S 26.2.23) is good to 4.5e-4: ample for a start.
+    """
+    p2 = 2.0 * (1.0 - p)  # two-sided tail probability
+    if df <= 1.0:  # Cauchy quantile, below the true one for df < 1
+        return math.tan(math.pi * (p - 0.5))
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
+    y = (d * p2) ** (2.0 / df)
+    if y > 0.05 + a:
+        r = math.sqrt(-2.0 * math.log(p2 / 2.0))
+        x = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+            1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+        y = x * x
+        if df < 5.0:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+              + 0.5 / (df + 4.0)) * y - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
 
 
 def student_t_quantile(p, df):
-    """Quantile of Student's t, by bisection on the incomplete-beta CDF."""
+    """Quantile of Student's t: bracketed Halley steps on the CDF from Hill's start."""
     if not 0.0 < p < 1.0:
         raise DomainError("student_t_quantile requires 0 < p < 1")
     if df <= 0.0 or math.isnan(df):
@@ -400,17 +426,22 @@ def student_t_quantile(p, df):
     if p < 0.5:
         return -student_t_quantile(1.0 - p, df)
 
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if student_t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = 0.0, math.inf  # CDF(lo) < p <= CDF(hi)
+    x = _hill_start(p, df)
+    for _ in range(100):
+        g = student_t_cdf(x, df) - p
+        if g == 0.0:
+            return x
+        lo, hi = (x, hi) if g < 0.0 else (lo, x)
+        # Halley, with the density's log-derivative -(df + 1) x / (df + x^2);
+        # Newton where Halley would more than double its step (heavy tails)
+        u = g / math.exp(central_t_logpdf(x, df))
+        halley = 1.0 + u * (df + 1.0) * x / (2.0 * (df + x * x))
+        step = x - u / (halley if halley > 0.5 else 1.0)
+        if not lo < step < hi:  # outside the bracket: bisect, or widen it
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        step = min(step, 1e150)  # keeps t^2 finite in the CDF: larger quantiles saturate
+        if abs(step - x) <= 1e-13 * step:
+            return step
+        x = step
+    return x

@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_moments
 from twogroupbf import engine as engine_module
@@ -22,7 +24,7 @@ from twogroupbf.engine import (
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
 from twogroupbf.quadrature import Interval, integrate_log
-from twogroupbf.specfun import cauchy_cdf, noncentral_t_logpdf
+from twogroupbf.specfun import noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
 STUDY_47 = SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95)
@@ -123,7 +125,7 @@ class TestSuperiority:
 
 class TestNonInferiority:
     def test_zero_margin_prior_odds_are_even(self):
-        assert cauchy_cdf(0.0, DEFAULT_PRIOR_SCALE) == 0.5
+        assert CauchyPrior().mass(0.0, math.inf) == 0.5
         data = SummaryMoments(18, 22, 0.3, 0.55, 1.0, 1.1)
         res = infer_bf(data, TestSpec.non_inferiority(0.0, standardized=True))
         # with even prior odds the BF is the posterior odds at zero
@@ -269,6 +271,33 @@ class TestPriorMass:
         for lower, upper in ((0.0, math.inf), (-0.0, math.inf), (-math.inf, 0.0),
                              (-math.inf, -0.0)):
             assert prior.mass(lower, upper) == 0.5
+
+    def test_center_and_quartiles(self):
+        for r in (0.2, 1.0, 5.0):
+            prior = CauchyPrior(r)
+            assert prior.mass(0.0, math.inf) == 0.5
+            # half the mass lies between -r and r
+            assert prior.mass(-r, r) == pytest.approx(0.5, abs=1e-15)
+            assert prior.mass(0.0, r) == pytest.approx(0.25, abs=1e-15)
+            assert prior.mass(-math.inf, r) == pytest.approx(0.75, abs=1e-15)
+
+    def test_limits(self):
+        prior = CauchyPrior(2.0)
+        assert prior.mass(-math.inf, math.inf) == 1.0
+        assert prior.mass(-math.inf, -math.inf) == 0.0
+        assert prior.mass(math.inf, math.inf) == 0.0
+
+    @given(st.floats(-1e12, 1e12), st.floats(0.01, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_reflection(self, x, r):
+        prior = CauchyPrior(r)
+        assert prior.mass(x, math.inf) == prior.mass(-math.inf, -x)
+        assert prior.mass(-math.inf, x) + prior.mass(-math.inf, -x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_monotone(self):
+        prior = CauchyPrior(0.7)
+        below = [prior.mass(-math.inf, x) for x in np.linspace(-50, 50, 10_001)]
+        assert np.all(np.diff(below) >= 0.0)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-5])
     def test_far_tail_margin_against_mpmath_masses(self, scale):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twogroupbf import specfun
 from twogroupbf.oracle import nct_logpdf_mixture
 from twogroupbf.specfun import (
     DomainError,
-    cauchy_cdf,
     cauchy_logpdf,
     central_t_logpdf,
     log_gamma,
@@ -89,6 +89,15 @@ class TestCentralT:
         tail = np.trapezoid(np.exp(central_t_logpdf(t_tail, df) + log_jac), s)
         assert mid + 2.0 * tail == pytest.approx(1.0, abs=1e-6)
 
+    def test_large_df_against_mpmath(self):
+        df = 2e6
+        with mpmath.workdps(40):
+            d = mpmath.mpf(df)
+            const = mpmath.loggamma((d + 1) / 2) - mpmath.loggamma(d / 2) - mpmath.log(d * mpmath.pi) / 2
+            for t in (0.0, 2.0, 25.0):
+                ref = const - (d + 1) / 2 * mpmath.log1p(mpmath.mpf(t) ** 2 / d)
+                assert abs(central_t_logpdf(t, df) - float(ref)) <= 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             central_t_logpdf(1.0, 0.0)
@@ -108,31 +117,9 @@ class TestCauchy:
             math.log(math.sqrt(2.0) / (3.0 * math.pi)), abs=1e-13
         )
 
-    def test_cdf_center_and_quartiles(self):
-        for r in (0.2, 1.0, 5.0):
-            assert cauchy_cdf(0.0, r) == 0.5
-            # half the mass lies between -r and r
-            assert cauchy_cdf(r, r) == pytest.approx(0.75, abs=1e-15)
-            assert cauchy_cdf(r, r) - cauchy_cdf(-r, r) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cdf_limits(self):
-        assert cauchy_cdf(-math.inf, 2.0) == 0.0
-        assert cauchy_cdf(math.inf, 2.0) == 1.0
-
-    @given(st.floats(-1e12, 1e12), st.floats(0.01, 100.0))
-    @settings(max_examples=200, deadline=None)
-    def test_cdf_reflection(self, x, r):
-        assert cauchy_cdf(x, r) + cauchy_cdf(-x, r) == pytest.approx(1.0, abs=1e-14)
-
-    def test_cdf_monotone(self):
-        x = np.linspace(-50, 50, 10_001)
-        assert np.all(np.diff(cauchy_cdf(x, 0.7)) >= 0.0)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             cauchy_logpdf(0.0, 0.0)
-        with pytest.raises(DomainError):
-            cauchy_cdf(0.0, -1.0)
 
 
 class TestNoncentralT:
@@ -190,6 +177,48 @@ class TestNoncentralT:
                 _log_hh_series(df, a), _log_hh_quad_small(df, a), rtol=0, atol=5e-11
             )
 
+    @pytest.mark.parametrize("df", [0.5, 3.0, 38.0, 396.0, 2e4, 2e5, 2e6])
+    def test_wide_domain_against_mpmath(self, df):
+        """Every route and route boundary of the reduced noncentrality a.
+
+        a <= 1e-3 and a < 0 take the Gauss-Legendre route, 1e-3 < a <= 40
+        the series unless it would need more than the term cap (df >= ~4e4),
+        and a > 40 the large-a trapezoid.
+        """
+        targets = [-1e3, -5.0, 0.0, 0.999e-3, 1.001e-3, 0.5, 10.0, 39.99, 40.01, 300.0, 1e3]
+        if specfun._series_terms_needed(df, 40.0) > specfun._SERIES_MAX_TERMS:
+            cap = _bisect(lambda a: specfun._series_terms_needed(df, a)
+                          <= specfun._SERIES_MAX_TERMS, 0.0, 40.0)
+            targets += [cap * (1.0 - 1e-6), cap * (1.0 + 1e-6)]
+        for t in (2.0, 25.0):
+            for a in targets:
+                ncp = a * math.sqrt(t * t + df) / t
+                ref = _nct_logpdf_mpmath(t, df, ncp)
+                got = noncentral_t_logpdf(t, df, ncp)
+                assert abs(got - ref) <= 1e-8 + 1e-14 * abs(ref), (t, a)
+
+    def test_series_work_follows_each_points_window(self, monkeypatch):
+        """Terms summed per point do not grow with the largest a in the call."""
+        proxy = _ExpSizes()
+        monkeypatch.setattr(specfun, "np", proxy)
+        df = 396.0
+        sizes = []
+        for a in ([0.5], [39.0], [0.5, 39.0]):
+            proxy.sizes.clear()
+            specfun._log_hh_series(df, np.array(a))
+            sizes.append(sum(proxy.sizes))
+        assert sizes[2] == sizes[0] + sizes[1]
+        # summing k = 0 .. n_terms(39) would be ~3600 terms for a = 0.5 alone
+        assert sizes[0] < 100
+
+    def test_point_value_does_not_depend_on_its_companions(self):
+        # at df = 2e6 the term cap sends a = 10 to Gauss-Legendre but not a = 2
+        t, df = 2.0, 2e6
+        ncp = np.array([2.0, 10.0]) * math.sqrt(t * t + df) / t
+        together = noncentral_t_logpdf(t, df, ncp)
+        alone = [noncentral_t_logpdf(t, df, v) for v in ncp]
+        assert together.tolist() == alone
+
     def test_extreme_ncp_never_nan(self):
         vals = noncentral_t_logpdf(1.3, 50.0, np.array([-1e300, -1e150, 1e150, 1e300]))
         assert not np.any(np.isnan(vals))
@@ -205,6 +234,51 @@ class TestNoncentralT:
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, -2.0, 0.0)
+
+
+def _bisect(below, lo, hi):
+    """Last x in [lo, hi] with below(x) true, for a predicate true at lo only."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
+
+
+def _nct_logpdf_mpmath(t, df, ncp):
+    """ln f(t; df, ncp) from the scale-mixture integral in 30-digit arithmetic.
+
+    The integrand v^df exp(-(v - a)^2 / 2) is divided by its peak value, and
+    breakpoints double away from its mode in curvature units; without the
+    division mpmath's error estimate misses 4.5e-7 of ln I at a = -1e3.
+    """
+    with mpmath.workdps(30):
+        t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
+        big_a = t * t + df
+        a = ncp * t / mpmath.sqrt(big_a)
+        mode = (a + mpmath.sqrt(a * a + 4 * df)) / 2
+        width = 1 / mpmath.sqrt(1 + df / mode ** 2)
+        peak = df * mpmath.log(mode) - (mode - a) ** 2 / 2
+        steps = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
+        pts = [0] + [mode + k * width for k in steps if mode + k * width > 0] + [mpmath.inf]
+        log_i = peak + mpmath.log(mpmath.quad(
+            lambda v: mpmath.exp(df * mpmath.log(v) - (v - a) ** 2 / 2 - peak), pts))
+        return float(mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
+                     - mpmath.log(2 * mpmath.pi) / 2 - ncp ** 2 * df / (2 * big_a)
+                     - (df + 1) / 2 * mpmath.log(big_a) + log_i)
+
+
+class _ExpSizes:
+    """numpy stand-in that records the size of every ``exp`` argument."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.sizes.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
 
 
 def _t_cdf_reference(q, df, nodes=400_001):
@@ -257,6 +331,32 @@ class TestStudentTQuantile:
             for q in (-2.9, -0.1, 0.4, 3.0):
                 p = student_t_cdf(q, df)
                 assert student_t_quantile(p, df) == pytest.approx(q, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("df", [3.0, 38.0, 396.0, 2e4, 2e5, 2e6])
+    def test_against_mpmath_at_ci_levels(self, df):
+        for p in (0.95, 0.975, 0.995):
+            q = student_t_quantile(p, df)
+            with mpmath.workdps(40):
+                def upper_tail(x):
+                    x2 = x * x
+                    return mpmath.betainc(df / 2, 0.5, 0, df / (df + x2), regularized=True) / 2
+                ref = mpmath.findroot(lambda x: upper_tail(x) - (1 - mpmath.mpf(p)),
+                                      mpmath.mpf(q))
+            assert q == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+
+    def test_cdf_calls_per_quantile(self, monkeypatch):
+        calls = []
+
+        def counting_cdf(t, df):
+            calls.append(t)
+            return student_t_cdf(t, df)
+
+        monkeypatch.setattr(specfun, "student_t_cdf", counting_cdf)
+        for df in (3.0, 4.0, 10.0, 38.0, 396.0, 2e4, 2e5, 2e6):
+            for level in (0.90, 0.95, 0.99):
+                calls.clear()
+                specfun.student_t_quantile((1.0 + level) / 2.0, df)
+                assert len(calls) <= 8, (df, level, len(calls))
 
     def test_domain(self):
         with pytest.raises(DomainError):
