@@ -20,7 +20,6 @@ from .engine import (
 )
 from .quadrature import Interval, QuadratureError
 from .report import (
-    ReportOptions,
     emit_density_curves,
     render_json,
     render_sweep_text,
@@ -262,13 +261,12 @@ def parse_and_run(argv) -> int:
     try:
         data = _study_input(args)
         spec = _test_spec(args)
-        options = ReportOptions(format=args.format)
         if args.subcommand == "sweep":
             sweep = prior_sweep(data, spec, args.scales)
             if args.format == "json":
-                sys.stdout.write(render_json(sweep, options))
+                sys.stdout.write(render_json(sweep))
             else:
-                sys.stdout.write(render_sweep_text(sweep, options))
+                sys.stdout.write(render_sweep_text(sweep))
             if any(e.error is not None for e in sweep.entries):
                 for e in sweep.entries:
                     if e.error is not None:
@@ -276,9 +274,9 @@ def parse_and_run(argv) -> int:
         else:
             result = run_test(data, spec, args.prior_scale)
             if args.format == "json":
-                sys.stdout.write(render_json(result, options))
+                sys.stdout.write(render_json(result))
             else:
-                sys.stdout.write(render_text(result, options))
+                sys.stdout.write(render_text(result))
         if args.curves:
             _write_curves(args.curves, data, args.prior_scale)
     except (_CliError, ValidationError, ValueError) as exc:

@@ -21,7 +21,7 @@ beneficial, so both directions share one code path and mirror exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -178,11 +178,6 @@ class BfResult:
     margin_unstd: Optional[float] = None
     interval_std: Optional[Tuple[float, float]] = None
     interval_unstd: Optional[Tuple[float, float]] = None
-
-    def flipped(self) -> "BfResult":
-        """Same evidence, opposite orientation."""
-        other: Orientation = "bf01" if self.orientation == "bf10" else "bf10"
-        return replace(self, log_bf=-self.log_bf, orientation=other)
 
 
 @dataclass(frozen=True)

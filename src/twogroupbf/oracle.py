@@ -88,6 +88,22 @@ def _mixture_exponent(u, t, df, ncp):
     return np.where(u > 0.0, out, -math.inf)
 
 
+def _grid_exponent(u, t, df, ncp):
+    """_mixture_exponent on rows of nodes u >= 0, one ncp per row, in two work arrays."""
+    g = u * t
+    g -= ncp[:, None]
+    g *= g
+    work = u * df
+    work *= u
+    g += work
+    g *= -0.5
+    with np.errstate(divide="ignore"):  # u = 0 only where the left cutoff underflows: -inf
+        np.log(u, out=work)
+    work *= df
+    g += work
+    return g
+
+
 # locating the cutoffs to ~1e-7 of the bracket is plenty: the integrand is
 # ~e^-60 there, so the cut-off error barely moves
 _BISECT_STEPS = 24
@@ -169,13 +185,13 @@ def _loglik_on_grid(t: float, df: float, ncp: np.ndarray,
         )
         u_lo = np.exp((over_qmax - _MIX_DROP) / df)
 
-        def g2(u, nc=nc):
-            return _mixture_exponent(u, t, df, nc[:, None])
-
-        u = u_lo[:, None] + (u_hi - u_lo)[:, None] * z01[None, :]
-        vals = g2(u) + log_w[None, :]
+        u = (u_hi - u_lo)[:, None] * z01
+        u += u_lo[:, None]
+        vals = _grid_exponent(u, t, df, nc)
+        vals += log_w
         peak = vals.max(axis=1)
-        s = np.exp(vals - peak[:, None]).sum(axis=1)
+        vals -= peak[:, None]
+        s = np.exp(vals, out=vals).sum(axis=1)
         step = (u_hi - u_lo) / (inner_nodes - 1)
         out[start:start + chunk] = const + peak + np.log(s) + np.log(step)
     return out

@@ -28,12 +28,9 @@ _SCI_LOG10_THRESHOLD = 4.0  # |log10 BF| at or beyond which scientific notation 
 
 @dataclass(frozen=True)
 class ReportOptions:
-    format: str = "text"
     significant_digits: int = 3
 
     def __post_init__(self):
-        if self.format not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
         if not 2 <= self.significant_digits <= 10:
             raise ValueError("significant_digits must be between 2 and 10")
 

@@ -39,44 +39,21 @@ class DomainError(ValueError):
 # log gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  Gives close to full double
-# precision for ln Gamma on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+def _stirling_tail(x):
+    """ln Gamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)] for x >= 20 (Stirling)."""
+    y = 1.0 / (x * x)
+    return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y * (1 / 1680 - y / 1188)))) / x
 
 
 def log_gamma(x):
-    """ln Gamma(x) for x > 0 via the Lanczos series (g=7, 9 terms).
-
-    Arguments below 0.5 are lifted through the recurrence
-    Gamma(x) = Gamma(x + 1) / x, where the series is at its best.
-    """
+    """ln Gamma(x) for x > 0: libm's lgamma below 20, Stirling's series above."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(np.isnan(x)):
         raise DomainError("log_gamma requires x > 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    small = x < 0.5
-    z = np.where(small, x + 1.0, x)
-
-    series = np.full(z.shape, _LANCZOS_COEF[0])
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z - 1.0 + i)
-    t = z + _LANCZOS_G - 0.5
-    out = LN_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(series)
-    out = np.where(small, out - np.log(x), out)
-    return float(out[0]) if scalar else out
+    big = np.maximum(x, 20.0)
+    out = np.asarray((big - 0.5) * np.log(big) - big + LN_SQRT_2PI + _stirling_tail(big))
+    out[x < 20.0] = [math.lgamma(v) for v in x[x < 20.0]]
+    return float(out) if out.ndim == 0 else out
 
 
 def _stirling_rest(x):
@@ -87,8 +64,7 @@ def _stirling_rest(x):
     """
     if x < 20.0:
         return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + LN_SQRT_2PI)
-    y = 1.0 / (x * x)
-    return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y * (1 / 1680 - y / 1188)))) / x
+    return _stirling_tail(x)
 
 
 def _log_gamma_half_ratio(x):
@@ -138,23 +114,21 @@ def cauchy_logpdf(x, scale):
 #   K             = 2 (df/2)^(df/2) / (Gamma(df/2) sqrt(2 pi))
 #   I(a)          = integral_0^inf  v^df exp(-(v - a)^2 / 2)  dv
 #
-# I(a) is evaluated by one of three routes, all in log space:
-#   * an exact positive-term series (moderate positive a),
-#   * Gauss-Legendre panels in w = ln v (a <= 0 and small a), or
-#   * a mode-centred trapezoid in the offset v - a (large a).
-# The test suite checks them against a dense-grid integration of the
-# defining scale mixture and against each other.
+# I(a) is evaluated in log space by one of three routes, picked by where the
+# integrand's mode x* = (a + sqrt(a^2 + 4 df))/2 sits: with curvature width
+# sigma = x* / sqrt(df + x*^2), it lies sqrt(df + x*^2) widths from v = 0.
+#   * df + x*^2 > W^2: a trapezoid on x* +- W sigma, clear of the branch
+#     point v = 0, so it converges geometrically (Trefethen & Weideman,
+#     SIAM Review 56(3), 2014);
+#   * otherwise a > 0: an exact positive-term series (here a < x* < W);
+#   * otherwise (a <= 0 near v = 0): Gauss-Legendre panels in w = ln v.
+# The test suite checks them against the mixture oracle, mpmath and each other.
 
-_SERIES_A_MIN = 1e-3
-_SERIES_A_MAX = 40.0
-_SERIES_MAX_TERMS = 20_000
 _QUAD_NODES = 96  # agree with 1600 nodes to 5e-16 (relative, on ln I)
 _QUAD_DROP = 60.0  # integrand truncated where it falls this many nats below its peak
+_TRAPEZOID_HALF = math.sqrt(2.0 * _QUAD_DROP) + 12.0  # W, the window's half-width in sigma
+_TRAPEZOID_Z = np.linspace(-1.0, 1.0, _QUAD_NODES)
 _SERIES_TABLES = {}  # df -> the k-only part of the log series terms, for the last 8 df
-
-
-def _series_terms_needed(df, a):
-    return a * a + 12.0 * a + 2.0 * math.sqrt(df) * a + 80.0
 
 
 def _series_table(df, n):
@@ -253,39 +227,32 @@ def _log_hh_quad_small(df, a):
     return m + np.log(vals.sum(axis=(1, 2)))
 
 
-def _log_hh_quad_large(df, a):
-    """ln I(a) for large positive a: trapezoid in the offset v = a + s.
+def _log_hh_trapezoid(df, x_star):
+    """ln I(a) by a 96-node trapezoid on x* +- W sigma, for df + x*^2 > W^2.
 
-    Working in the offset avoids the cancellation that e^w - a would incur
-    once a is huge.  The 0 endpoint is many sigma away, so no clamping is
-    needed.
+    With s = v - x* = u x* and x* - a = df / x*, the log integrand is its peak
+    plus df (log1p(u) - u) - s^2 / 2: no large terms cancel.  Both window ends
+    lie over 160 nats below the peak, so all nodes weigh the same.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    # mode offset s* = (sqrt(a^2 + 4 df) - a)/2, computed stably
-    s_star = 2.0 * df / (np.sqrt(a * a + 4.0 * df) + a)
-    x_star = a + s_star
-    sigma = 1.0 / np.sqrt(df / (x_star * x_star) + 1.0)
-    half = math.sqrt(2.0 * _QUAD_DROP) * sigma + 12.0 * sigma
-    z = np.linspace(-1.0, 1.0, _QUAD_NODES)
-    s = s_star[:, None] + half[:, None] * z[None, :]
-    g = df * (np.log(a)[:, None] + np.log1p(s / a[:, None])) - s * s / 2.0
-    m = g.max(axis=1)
-    vals = np.exp(g - m[:, None])
-    vals[:, 0] *= 0.5
-    vals[:, -1] *= 0.5
-    return m + np.log(vals.sum(axis=1)) + np.log(2.0 * half / (_QUAD_NODES - 1))
+    r = np.sqrt(df + x_star * x_star)  # x* / sigma, > W, so that u > -1
+    u = (_TRAPEZOID_HALF / r)[:, None] * _TRAPEZOID_Z
+    h = df * (np.log1p(u) - u) - (x_star[:, None] * u) ** 2 / 2.0
+    step = 2.0 * _TRAPEZOID_HALF / (_QUAD_NODES - 1) * x_star / r
+    return df * np.log(x_star) - (df / x_star) ** 2 / 2.0 + np.log(np.exp(h).sum(axis=1) * step)
 
 
 def _log_hh(df, a):
-    """ln I(a) for an array of reduced noncentralities, branch per regime."""
+    """ln I(a) for an array of reduced noncentralities, routed by the mode."""
     out = np.empty(a.shape)
-    series = ((a > _SERIES_A_MIN) & (a <= _SERIES_A_MAX)
-              & (_series_terms_needed(df, a) <= _SERIES_MAX_TERMS))
-    large = a > _SERIES_A_MAX
-    for route, where in ((_log_hh_series, series), (_log_hh_quad_large, large),
-                         (_log_hh_quad_small, ~(series | large))):
+    # the mode, without cancellation for either sign of a: x* (x* - a) = df
+    big = (np.abs(a) + np.hypot(a, 2.0 * math.sqrt(df))) / 2.0
+    x_star = np.where(a >= 0.0, big, df / big)
+    clear = np.sqrt(df + x_star * x_star) > _TRAPEZOID_HALF  # x* > W sigma
+    series = ~clear & (a > 0.0)
+    for route, where, arg in ((_log_hh_trapezoid, clear, x_star), (_log_hh_series, series, a),
+                              (_log_hh_quad_small, ~(clear | series), a)):
         if where.any():
-            out[where] = route(df, a[where])
+            out[where] = route(df, arg[where])
     return out
 
 
@@ -415,8 +382,14 @@ def _hill_start(p, df):
     return math.sqrt(df * y)
 
 
+
+
 def student_t_quantile(p, df):
-    """Quantile of Student's t: bracketed Halley steps on the CDF from Hill's start."""
+    """Quantile of Student's t: bracketed Halley steps on the CDF from Hill's start.
+
+    DomainError names what it cannot resolve: p below 2^-54 (1 - p rounds
+    to 1), quantiles beyond 1e150, and steps unconverged after 100.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError("student_t_quantile requires 0 < p < 1")
     if df <= 0.0 or math.isnan(df):
@@ -424,6 +397,9 @@ def student_t_quantile(p, df):
     if p == 0.5:
         return 0.0
     if p < 0.5:
+        if 1.0 - p == 1.0:
+            raise DomainError("student_t_quantile cannot resolve p below 2^-54 (~5.6e-17): "
+                              "the lower tail is solved through 1 - p, which rounds to 1")
         return -student_t_quantile(1.0 - p, df)
 
     lo, hi = 0.0, math.inf  # CDF(lo) < p <= CDF(hi)
@@ -432,6 +408,9 @@ def student_t_quantile(p, df):
         g = student_t_cdf(x, df) - p
         if g == 0.0:
             return x
+        if g < 0.0 and x >= 1e150:
+            raise DomainError("student_t_quantile cannot resolve quantiles beyond 1e+150 "
+                              f"(p = {p!r}, df = {df!r})")
         lo, hi = (x, hi) if g < 0.0 else (lo, x)
         # Halley, with the density's log-derivative -(df + 1) x / (df + x^2);
         # Newton where Halley would more than double its step (heavy tails)
@@ -440,8 +419,8 @@ def student_t_quantile(p, df):
         step = x - u / (halley if halley > 0.5 else 1.0)
         if not lo < step < hi:  # outside the bracket: bisect, or widen it
             step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        step = min(step, 1e150)  # keeps t^2 finite in the CDF: larger quantiles saturate
+        step = min(step, 1e150)  # keeps t^2 finite in the CDF: larger quantiles are refused
         if abs(step - x) <= 1e-13 * step:
             return step
         x = step
-    return x
+    raise DomainError(f"student_t_quantile did not converge in 100 steps (p = {p!r}, df = {df!r})")

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from twogroupbf import oracle
 from twogroupbf.datamodel import SummaryMoments, derive_stats
 from twogroupbf.engine import CauchyPrior, TestSpec
 from twogroupbf.oracle import GridSpec, default_span, grid_bf, nct_logpdf_mixture
@@ -47,3 +49,14 @@ def test_mixture_density_grid_convergence():
     a = nct_logpdf_mixture(2.2, 37.0, 5.5, nodes=1_000_001)
     b = nct_logpdf_mixture(2.2, 37.0, 5.5, nodes=2_000_001)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_grid_exponent_matches_the_mixture_formula(monkeypatch):
+    """The in-place grid exponent gives the log likelihoods of _mixture_exponent."""
+    ncp = np.linspace(-30.0, 30.0, 2001)
+    cases = [(2.0, 38.0), (-3.1, 396.0), (25.0, 2e4), (5.0, 0.7)]
+    fast = [oracle._loglik_on_grid(t, df, ncp) for t, df in cases]
+    monkeypatch.setattr(oracle, "_grid_exponent",
+                        lambda u, t, df, nc: oracle._mixture_exponent(u, t, df, nc[:, None]))
+    for (t, df), got in zip(cases, fast):
+        np.testing.assert_allclose(got, oracle._loglik_on_grid(t, df, ncp), rtol=1e-12, atol=1e-12)

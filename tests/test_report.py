@@ -126,8 +126,6 @@ class TestRenderText:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            ReportOptions(format="yaml")
-        with pytest.raises(ValueError):
             ReportOptions(significant_digits=1)
 
 

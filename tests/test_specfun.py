@@ -181,15 +181,19 @@ class TestNoncentralT:
     def test_wide_domain_against_mpmath(self, df):
         """Every route and route boundary of the reduced noncentrality a.
 
-        a <= 1e-3 and a < 0 take the Gauss-Legendre route, 1e-3 < a <= 40
-        the series unless it would need more than the term cap (df >= ~4e4),
-        and a > 40 the large-a trapezoid.
+        The mode x* = (a + sqrt(a^2 + 4 df))/2 decides: where df + x*^2
+        exceeds W^2, W the trapezoid's half-width in curvature widths, the
+        trapezoid runs; elsewhere a > 0 takes the series and a <= 0
+        Gauss-Legendre.  Below df = W^2 the boundary sits at
+        a_b = x_b - df / x_b with x_b = sqrt(W^2 - df).
         """
-        targets = [-1e3, -5.0, 0.0, 0.999e-3, 1.001e-3, 0.5, 10.0, 39.99, 40.01, 300.0, 1e3]
-        if specfun._series_terms_needed(df, 40.0) > specfun._SERIES_MAX_TERMS:
-            cap = _bisect(lambda a: specfun._series_terms_needed(df, a)
-                          <= specfun._SERIES_MAX_TERMS, 0.0, 40.0)
-            targets += [cap * (1.0 - 1e-6), cap * (1.0 + 1e-6)]
+        targets = [-1e3, -5.0, 0.0, 1e-300, 0.999e-3, 1.001e-3, 0.5, 10.0, 39.99, 40.01,
+                   300.0, 1e3]
+        w2 = specfun._TRAPEZOID_HALF ** 2
+        if df < w2:
+            x_b = math.sqrt(w2 - df)
+            a_b = x_b - df / x_b
+            targets += [a_b * (1.0 - 1e-6), a_b * (1.0 + 1e-6)]
         for t in (2.0, 25.0):
             for a in targets:
                 ncp = a * math.sqrt(t * t + df) / t
@@ -212,17 +216,22 @@ class TestNoncentralT:
         assert sizes[0] < 100
 
     def test_point_value_does_not_depend_on_its_companions(self):
-        # at df = 2e6 the term cap sends a = 10 to Gauss-Legendre but not a = 2
-        t, df = 2.0, 2e6
-        ncp = np.array([2.0, 10.0]) * math.sqrt(t * t + df) / t
+        # at df = 38 the trapezoid takes a just past the boundary a_b, the
+        # series a just short of it, and Gauss-Legendre a = -1
+        t, df = 2.0, 38.0
+        x_b = math.sqrt(specfun._TRAPEZOID_HALF ** 2 - df)
+        a_b = x_b - df / x_b
+        ncp = np.array([a_b * (1.0 - 1e-6), a_b * (1.0 + 1e-6), -1.0]) * math.sqrt(t * t + df) / t
         together = noncentral_t_logpdf(t, df, ncp)
         alone = [noncentral_t_logpdf(t, df, v) for v in ncp]
         assert together.tolist() == alone
 
     def test_extreme_ncp_never_nan(self):
-        vals = noncentral_t_logpdf(1.3, 50.0, np.array([-1e300, -1e150, 1e150, 1e300]))
-        assert not np.any(np.isnan(vals))
-        assert np.all(vals < -1e100)
+        # at df >= W^2 every point, negative a included, takes the trapezoid
+        for df in (50.0, 2e4, 2e6):
+            vals = noncentral_t_logpdf(1.3, df, np.array([-1e300, -1e150, 1e150, 1e300]))
+            assert not np.any(np.isnan(vals)), df
+            assert np.all(vals < -1e100), df
 
     def test_broadcast_and_chunking(self):
         ncp = np.linspace(-30, 30, 5000)
@@ -234,14 +243,6 @@ class TestNoncentralT:
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, -2.0, 0.0)
-
-
-def _bisect(below, lo, hi):
-    """Last x in [lo, hi] with below(x) true, for a predicate true at lo only."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return lo
 
 
 def _nct_logpdf_mpmath(t, df, ncp):
@@ -365,3 +366,20 @@ class TestStudentTQuantile:
             student_t_quantile(1.0, 5.0)
         with pytest.raises(DomainError):
             student_t_quantile(0.5, -1.0)
+
+    def test_lower_tail_below_resolution_is_refused_by_name(self):
+        assert student_t_quantile(1e-16, 5.0) < 0.0
+        for p in (2.0 ** -54, 1e-300):
+            with pytest.raises(DomainError, match="below 2\\^-54"):
+                student_t_quantile(p, 5.0)
+
+    def test_quantile_beyond_1e150_is_refused_by_name(self):
+        # at df 0.03 the upper 1e-10 tail starts near 1.7e322 (mpmath)
+        with pytest.raises(DomainError, match="beyond 1e\\+150"):
+            student_t_quantile(1.0 - 1e-10, 0.03)
+
+    def test_unconverged_steps_are_refused_by_name(self):
+        # the quantile (~1.6e146, mpmath) lies below 1e150, but the heavy-tail
+        # steps grow x only ~11-fold each and end 100 steps short of it
+        with pytest.raises(DomainError, match="did not converge"):
+            student_t_quantile(1e-15, 0.1)
