@@ -8,10 +8,12 @@ region integrals can be smaller than 1e-300 in linear scale.
 
 Infinite endpoints are mapped to finite ones by a change of variables
 (x = tan(theta) for a doubly infinite interval, x = a + u/(1-u) and its
-mirror for half-infinite ones).  Before subdividing, the transformed
-log-integrand is scanned once on a coarse grid, and the initial panels of
-each piece are clustered geometrically around its scanned maximum so that
-sharp posterior peaks are resolved from the first pass.
+mirror for half-infinite ones).  The transformed log-integrand is scanned
+once on a coarse grid, and the initial panels of each piece are clustered
+geometrically around its scanned maximum so that sharp posterior peaks are
+resolved from the first pass.  The integrand is then called once for all
+initial panels and once per refinement round for all the panels it bisects
+(as SciPy's ``quad_vec`` refines many intervals at a time).
 """
 
 from __future__ import annotations
@@ -105,19 +107,6 @@ def _logsumexp(values):
     return float(m + math.log(np.exp(values - m).sum()))
 
 
-def _log_diff_exp(a: float, b: float) -> float:
-    """ln|e^a - e^b|, stable for a ~ b."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    if hi == _NEG_INF:
-        return _NEG_INF
-    if lo == _NEG_INF:
-        return hi
-    diff = lo - hi
-    if diff > -1e-15:
-        return _NEG_INF
-    return hi + math.log(-math.expm1(diff))
-
-
 def _make_transform(region: Interval):
     """Map region to a finite (lo, hi): the log-integrand there, with its
     log-Jacobian term, and the map from x to the new variable."""
@@ -143,25 +132,34 @@ def _make_transform(region: Interval):
     return (lambda x, f: f(x)), (lambda x: x), (region.lower, region.upper)
 
 
-def _panel(g, f, lo: float, hi: float):
-    """Log-space GK15 estimate and log error for one panel."""
+def _panels(g, f, lo, hi):
+    """Log GK15 estimates, log errors and node maxima of the panels
+    (lo[i], hi[i]), from one call of g over all their nodes."""
     half = (hi - lo) / 2.0
-    x = (_NODES + 1.0) * half + lo
-    fx = np.asarray(g(x, f), dtype=float)
-    if np.any(np.isnan(fx)):
-        raise QuadratureError(
-            f"integrand returned NaN in panel ({lo}, {hi})", _NEG_INF, math.inf
-        )
-    log_half = math.log(half)
-    log_k = _logsumexp(fx + _LOG_WK) + log_half
-    log_g = _logsumexp(fx[_GAUSS_MASK] + _LOG_WG) + log_half
-    return log_k, _log_diff_exp(log_k, log_g)
+    x = (_NODES + 1.0) * half[:, None] + lo[:, None]
+    fx = np.asarray(g(x.ravel(), f), dtype=float).reshape(x.shape)
+    bad = (np.isnan(fx) | (fx == math.inf)).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
+                              _NEG_INF, math.inf)
+    # both rules are summed relative to the panel's own maximum, so their
+    # difference keeps its relative accuracy at any log magnitude
+    top = fx.max(axis=1)
+    m = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        sum_k = np.exp(fx + _LOG_WK - m[:, None]).sum(axis=1)
+        sum_g = np.exp(fx[:, _GAUSS_MASK] + _LOG_WG - m[:, None]).sum(axis=1)
+        log_scale = m + np.log(half)
+        return np.log(sum_k) + log_scale, np.log(np.abs(sum_k - sum_g)) + log_scale, top
 
 
 def _initial_breakpoints(grid, vals, lo: float, hi: float):
-    """Breakpoints of (lo, hi) clustered around the scanned maximum inside it."""
+    """Breakpoints of (lo, hi) clustered around the scanned maximum inside
+    it, and that maximum (None when no finite scan value falls inside)."""
     inside = (grid > lo) & (grid < hi) & np.isfinite(vals)
-    mode = float(grid[np.argmax(np.where(inside, vals, _NEG_INF))]) if inside.any() else (lo + hi) / 2.0
+    peak = int(np.argmax(np.where(inside, vals, _NEG_INF)))
+    mode = float(grid[peak]) if inside.any() else (lo + hi) / 2.0
 
     span = hi - lo
     points = {lo, hi}
@@ -172,7 +170,7 @@ def _initial_breakpoints(grid, vals, lo: float, hi: float):
                 points.add(p)
         width /= 2.0
     points.add(mode)
-    return sorted(points)
+    return sorted(points), (float(vals[peak]) if inside.any() else None)
 
 
 def integrate_log(f, region: Interval, settings: QuadratureSettings | None = None,
@@ -180,15 +178,16 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
     """ln of the integral of exp(f(x)) dx over ``region``, or over its pieces.
 
     ``f`` must accept a numpy array of abscissae and return log values
-    (-inf is fine, NaN is not).  Increasing interior ``cuts`` split the
+    (-inf is fine, NaN and +inf are not).  Increasing interior ``cuts`` split the
     region into pieces, integrated in one pass with a breakpoint forced at
     every cut (as QUADPACK's QAGP does); the result is then a list with
     one log integral per piece, in increasing x, else a float.  Each piece
     converges on its own: when its summed panel error is below ``rel_tol``
     relative to its integral, or below ``abs_tol_log`` on the linear scale
     shifted by its own maximum, so a far-tail piece keeps its relative
-    accuracy.  Failure to converge raises :class:`QuadratureError` with
-    the best estimate for the whole region attached.
+    accuracy.  Failure to converge raises :class:`QuadratureError` naming
+    each unconverged piece, with the best estimate for the whole region
+    attached.
     """
     settings = settings or QuadratureSettings()
     cuts = [float(c) for c in cuts]
@@ -199,53 +198,72 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
     if any(a >= b for a, b in zip(edges[:-1], edges[1:])):
         raise QuadratureError(f"cuts {cuts} cannot be told apart from each other or from "
                               "the region's ends at double precision", _NEG_INF, math.inf)
+    flip = math.isinf(region.lower) and math.isfinite(region.upper)  # (-inf, b) runs against x
 
     # one scan of the whole region; each piece's breakpoints cluster around
-    # its own scanned maximum
+    # its own scanned maximum, and all initial panels go in one call
     inset = (hi - lo) / (_SCAN_POINTS + 1)
     grid = np.linspace(lo + inset, hi - inset, _SCAN_POINTS)
     vals = np.asarray(g(grid, f), dtype=float)
-    breaks = [_initial_breakpoints(grid, vals, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    seeds = [_initial_breakpoints(grid, vals, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    owner = np.repeat(np.arange(len(seeds)), [len(br) - 1 for br, _ in seeds])
+    lo_p = np.concatenate([br[:-1] for br, _ in seeds])
+    hi_p = np.concatenate([br[1:] for br, _ in seeds])
+    log_k, err, top = _panels(g, f, lo_p, hi_p)
 
-    # shift each piece by the maximum of its own probe so the linear-scale
-    # floor is meaningful; all pieces are probed in one call
-    probes = [b[1:-1] or [(b[0] + b[-1]) / 2.0] for b in breaks]
-    probe_vals = np.asarray(g(np.concatenate(probes), f), dtype=float)
-    shifts = [float(np.max(v[np.isfinite(v)])) if np.isfinite(v).any() else 0.0
-              for v in np.split(probe_vals, np.cumsum([len(p) for p in probes])[:-1])]
-    g_pieces = [lambda x, func, s=s: g(x, func) - s for s in shifts]
-    pieces = [[(a, b, *_panel(gp, f, a, b)) for a, b in zip(br[:-1], br[1:])]
-              for br, gp in zip(breaks, g_pieces)]
+    # each piece's log shift, which makes the linear-scale floor meaningful:
+    # its scanned maximum, else the maximum of its own nodes
+    shifts = [s if s is not None else float(top[owner == k].max())
+              for k, (_, s) in enumerate(seeds)]
 
     log_abs_floor = math.log(settings.abs_tol_log) if settings.abs_tol_log > 0 else _NEG_INF
     log_rel = math.log(settings.rel_tol)
+    budget = settings.max_subdivisions
 
-    for budget in range(settings.max_subdivisions, -1, -1):
-        totals = [_logsumexp([p[2] for p in panels]) for panels in pieces]
-        errs = [_logsumexp([p[3] for p in panels]) for panels in pieces]
-        unconverged = [k for k, (total, err) in enumerate(zip(totals, errs))
-                       if not (err <= total + log_rel or err <= log_abs_floor)]
+    while True:
+        totals = [_logsumexp(log_k[owner == k]) for k in range(len(seeds))]
+        errs = [_logsumexp(err[owner == k]) for k in range(len(seeds))]
+        unconverged = [k for k, (total, e, s) in enumerate(zip(totals, errs, shifts))
+                       if not (e <= total + log_rel or e <= s + log_abs_floor)]
         if not unconverged:
-            logs = [total + shift for total, shift in zip(totals, shifts)]
-            if not cuts:
-                return logs[0]
-            # the (-inf, b) map runs against x
-            return logs[::-1] if math.isinf(region.lower) and math.isfinite(region.upper) else logs
+            logs = totals[::-1] if flip else totals
+            return logs if cuts else logs[0]
         if not budget:
             break
-        # bisect the panel with the largest error relative to its piece
-        k = max(unconverged, key=lambda k: max(p[3] for p in pieces[k]) - totals[k])
-        panels = pieces[k]
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels[worst]
+        # one round: in each unconverged piece, bisect its largest-error
+        # panels until the rest is within the piece's tolerance
+        picks = []
+        for k in unconverged:
+            idx = np.flatnonzero(owner == k)
+            idx = idx[np.argsort(-err[idx])]
+            rest = np.append(np.logaddexp.accumulate(err[idx][::-1])[-2::-1], _NEG_INF)
+            target = max(totals[k] + log_rel, shifts[k] + log_abs_floor)
+            picks.append(idx[:int(np.argmax(rest <= target)) + 1])
+        pick = np.concatenate(picks)
+        if pick.size > budget:  # the largest errors relative to their pieces
+            rel = err[pick] - np.array(totals)[owner[pick]]
+            pick = pick[np.argsort(-rel)[:budget]]
+        a, b = lo_p[pick], hi_p[pick]
         mid = (a + b) / 2.0
-        if mid <= a or mid >= b:  # interval exhausted at double precision
-            panels[worst] = (a, b, panels[worst][2], _NEG_INF)
+        split = (a < mid) & (mid < b)
+        err[pick[~split]] = _NEG_INF  # interval exhausted at double precision
+        pick, a, b, mid = pick[split], a[split], b[split], mid[split]
+        if not pick.size:
             continue
-        panels[worst] = (a, mid, *_panel(g_pieces[k], f, a, mid))
-        panels.append((mid, b, *_panel(g_pieces[k], f, mid, b)))
+        n = pick.size
+        budget -= n
+        new_k, new_err, _ = _panels(g, f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        hi_p[pick], log_k[pick], err[pick] = mid, new_k[:n], new_err[:n]
+        lo_p, hi_p, owner = np.append(lo_p, mid), np.append(hi_p, b), np.append(owner, owner[pick])
+        log_k, err = np.append(log_k, new_k[n:]), np.append(err, new_err[n:])
 
-    total, err = (_logsumexp([v + s for v, s in zip(vs, shifts)]) for vs in (totals, errs))
+    x_edges = [region.lower, *cuts, region.upper]
+    names = list(zip(x_edges[:-1], x_edges[1:]))[::-1 if flip else 1]
+    detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
+                       f"{totals[k]:.6g}, log error {errs[k]:.6g}"
+                       for k in (unconverged[::-1] if flip else unconverged))
+    total, error = _logsumexp(totals), _logsumexp(errs)
     raise QuadratureError(
-        f"quadrature did not converge after {settings.max_subdivisions} subdivisions "
-        f"(log estimate {total:.6g}, log error bound {err:.6g})", total, err)
+        f"quadrature did not converge after {settings.max_subdivisions} subdivisions in "
+        f"{detail} (whole region: log estimate {total:.6g}, log error bound {error:.6g})",
+        total, error)

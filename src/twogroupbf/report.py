@@ -187,7 +187,7 @@ def _result_record(result: BfResult) -> dict:
     return record
 
 
-def render_json(result, options: ReportOptions | None = None) -> str:
+def render_json(result) -> str:
     """JSON record (schema v1) for a result or a sweep; floats at full precision."""
     if isinstance(result, SweepResult):
         payload = {

@@ -166,6 +166,19 @@ class TestNonInferiority:
         stats = derive_stats(STUDY_47)
         assert res_std.margin_unstd == pytest.approx(0.5 * stats.sd_pooled, rel=1e-12)
 
+    def test_reference_study_batches_its_density_calls(self, monkeypatch):
+        # one call for the scan, one for the initial panels, and one per
+        # refinement round; a call per GK15 panel would make ~30
+        from twogroupbf import specfun
+
+        calls = []
+        density = specfun.noncentral_t_logpdf
+        monkeypatch.setattr(specfun, "noncentral_t_logpdf",
+                            lambda *args: calls.append(1) or density(*args))
+        res = infer_bf(STUDY_47, TestSpec.non_inferiority(1.0, direction="low"))
+        assert f"{res.log_bf:.4f}" == "46.1335"
+        assert len(calls) <= 3
+
     def test_degenerate_margin_rejected(self):
         with pytest.raises(ValidationError):
             infer_bf(

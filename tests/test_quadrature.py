@@ -118,15 +118,35 @@ def test_against_trapezoid_oracle_on_engine_integrands():
 
 
 def test_narrow_peak_is_found():
-    # mode seeding must find a spike far from the domain midpoint
-    f = lambda x: -1e6 * (x - 37.25) ** 2
-    res = integrate_log(f, Interval(-math.inf, math.inf))
-    assert res == pytest.approx(0.5 * math.log(math.pi / 1e6), abs=1e-8)
+    # mode seeding must find a spike far from the domain midpoint, and the
+    # floor must not accept it unresolved
+    for k in (1e6, 1e8):
+        f = lambda x: -k * (x - 37.25) ** 2
+        res = integrate_log(f, Interval(-math.inf, math.inf))
+        assert res == pytest.approx(0.5 * math.log(math.pi / k), abs=1e-8)
+
+
+def _recording(f):
+    """f, plus the list of array sizes it is called with."""
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+    return g, sizes
+
+
+def _bisections(sizes):
+    """Panels bisected, from the call sizes: the 129-point scan, the
+    initial GK15 panels, then two 15-node children per bisected panel."""
+    assert sizes[0] == 129 and sizes[1] % 15 == 0
+    assert all(n % 30 == 0 for n in sizes[2:])
+    return sum(sizes[2:]) // 30
 
 
 def test_nonconvergence_raises_with_best_estimate():
     # integrable endpoint singularity x^-0.9 needs many panels near zero
-    f = lambda x: -0.9 * np.log(x)
+    f, sizes = _recording(lambda x: -0.9 * np.log(x))
     settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
     with pytest.raises(QuadratureError) as err:
         integrate_log(f, Interval(0.0, 1.0), settings)
@@ -134,12 +154,48 @@ def test_nonconvergence_raises_with_best_estimate():
     # true integral is 10; the carried estimate must be in the vicinity
     assert err.value.best_log_estimate == pytest.approx(math.log(10.0), abs=0.5)
     assert err.value.log_error_bound > -math.inf
+    assert "piece (0, 1)" in str(err.value)
+    # one call per refinement round, and the whole budget spent
+    assert len(sizes) <= 2 + settings.max_subdivisions
+    assert _bisections(sizes) == settings.max_subdivisions
+
+
+def test_error_names_each_unconverged_piece_in_x():
+    # the singularity at the cut leaves both pieces short; the (-inf, b)
+    # map runs against x, but the pieces are named in x
+    f = lambda x: -0.9 * np.log(np.abs(x + 0.19)) - 2.0 * np.log1p(x * x)
+    settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
+    with pytest.raises(QuadratureError) as err:
+        integrate_log(f, Interval(-math.inf, 0.0), settings, cuts=(-0.19,))
+    message = str(err.value)
+    assert "piece (-inf, -0.19)" in message and "piece (-0.19, 0)" in message
+    assert message.index("piece (-inf, -0.19)") < message.index("piece (-0.19, 0)")
+
+
+def test_round_is_cut_to_the_remaining_budget():
+    # many oscillations per initial panel: the second round wants more
+    # bisections than a budget of 5 leaves after the first
+    f = lambda x: np.log(2.0 + np.sin(200.0 * x))
+    free, free_sizes = _recording(f)
+    integrate_log(free, Interval(0.0, 1.0))
+    first, second = free_sizes[2] // 30, free_sizes[3] // 30
+    budget = first + 1
+    assert second > 1
+    # batching makes far fewer calls than one per bisected panel
+    assert len(free_sizes) < _bisections(free_sizes)
+
+    capped, sizes = _recording(f)
+    with pytest.raises(QuadratureError):
+        integrate_log(capped, Interval(0.0, 1.0), QuadratureSettings(max_subdivisions=budget))
+    assert sizes[:3] == free_sizes[:3]
+    assert _bisections(sizes) == budget
 
 
 def test_nan_integrand_raises():
-    f = lambda x: np.where(x > 0.5, np.nan, 0.0)
-    with pytest.raises(QuadratureError):
-        integrate_log(f, Interval(0.0, 1.0))
+    for bad in (np.nan, np.inf):
+        f = lambda x: np.where(x > 0.5, bad, 0.0)
+        with pytest.raises(QuadratureError, match="NaN or \\+inf"):
+            integrate_log(f, Interval(0.0, 1.0))
 
 
 def test_interval_validation():
