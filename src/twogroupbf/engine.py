@@ -37,7 +37,7 @@ from .datamodel import (
     derive_stats,
     standardize_margin,
 )
-from .quadrature import Interval, QuadratureError, QuadratureSettings, integrate_log
+from .quadrature import Interval, QuadratureError, integrate_log
 
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
@@ -221,19 +221,17 @@ def _log_joint(stats: DerivedStats, t: float, prior: CauchyPrior):
     return joint
 
 
-def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior,
-                          settings: QuadratureSettings | None = None):
+def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
     """Normalized log posterior density of delta given the observed t.
 
     Proportional to likelihood times prior, normalized over the whole line.
     Broadcasts over ``delta``.
     """
     joint = _log_joint(stats, stats.t_obs, prior)
-    return joint(delta) - integrate_log(joint, _WHOLE_LINE, settings)
+    return joint(delta) - integrate_log(joint, _WHOLE_LINE)
 
 
-def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float,
-                     settings: QuadratureSettings | None = None) -> float:
+def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float) -> float:
     """BF01 for the point null delta = delta0 against the prior.
 
     The density ratio shortcut: posterior density over prior density at the
@@ -242,7 +240,7 @@ def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float,
     """
     if not math.isfinite(delta0):
         raise ValidationError("delta0 must be finite")
-    log_post = posterior_log_density(delta0, stats, prior, settings)
+    log_post = posterior_log_density(delta0, stats, prior)
     return math.exp(float(log_post) - float(prior.logpdf(delta0)))
 
 
@@ -295,8 +293,8 @@ _DESIGNS = {
 }
 
 
-def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec, prior_scale: float,
-              settings: QuadratureSettings | None) -> BfResult:
+def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
+              prior_scale: float) -> BfResult:
     """The Bayes factor of ``spec``'s table row, from already derived stats.
 
     ln BF10 = avg(H1) - avg(H0), where a hypothesis's log average
@@ -317,7 +315,7 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec, prior_scale
         log_prior.append(math.log(mass))
 
     t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
-    log_m = integrate_log(_log_joint(stats, t_c, prior), hyp.region, settings, hyp.cuts)
+    log_m = integrate_log(_log_joint(stats, t_c, prior), hyp.region, cuts=hyp.cuts)
     log_m = log_m if hyp.cuts else [log_m]
     log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
                 else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
@@ -330,10 +328,10 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec, prior_scale
                     **hyp.fields)
 
 
-def run_test(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
+def run_test(data: StudyInput, spec: TestSpec,
+             prior_scale: float = DEFAULT_PRIOR_SCALE) -> BfResult:
     """The Bayes factor of whichever design ``spec`` names."""
-    return _evaluate(data, derive_stats(data), spec, prior_scale, settings)
+    return _evaluate(data, derive_stats(data), spec, prior_scale)
 
 
 def _require(spec: TestSpec, design: Design, message: str) -> None:
@@ -341,36 +339,35 @@ def _require(spec: TestSpec, design: Design, message: str) -> None:
         raise ValidationError(message)
 
 
-def super_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
+def super_bf(data: StudyInput, spec: TestSpec,
+             prior_scale: float = DEFAULT_PRIOR_SCALE) -> BfResult:
     """Superiority test (BF10): the point null delta = 0 against the full
     Cauchy (two-sided) or the Cauchy restricted to the beneficial side
     delta > 0 (one-sided)."""
     _require(spec, "superiority", "super_bf requires a superiority TestSpec")
-    return run_test(data, spec, prior_scale, settings)
+    return run_test(data, spec, prior_scale)
 
 
-def infer_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
+def infer_bf(data: StudyInput, spec: TestSpec,
+             prior_scale: float = DEFAULT_PRIOR_SCALE) -> BfResult:
     """Non-inferiority test (BF10): with benefit = high, H0: delta < -margin
     against H1: delta > -margin (mirrored for benefit = low)."""
     _require(spec, "non_inferiority", "infer_bf requires a non-inferiority TestSpec")
-    return run_test(data, spec, prior_scale, settings)
+    return run_test(data, spec, prior_scale)
 
 
-def equiv_bf(data: StudyInput, spec: TestSpec, prior_scale: float = DEFAULT_PRIOR_SCALE,
-             settings: QuadratureSettings | None = None) -> BfResult:
+def equiv_bf(data: StudyInput, spec: TestSpec,
+             prior_scale: float = DEFAULT_PRIOR_SCALE) -> BfResult:
     """Equivalence test (BF01): delta inside the interval against outside.
 
     The interval bounds the benefit-oriented effect, so mirrored data under
     the flipped direction give the same answer; (0, 0) is the point null.
     """
     _require(spec, "equivalence", "equiv_bf requires an equivalence TestSpec")
-    return run_test(data, spec, prior_scale, settings)
+    return run_test(data, spec, prior_scale)
 
 
-def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float],
-                settings: QuadratureSettings | None = None) -> SweepResult:
+def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float]) -> SweepResult:
     """Robustness sweep: one Bayes factor per prior scale, from stats derived once.
 
     A failure at one scale is recorded on its entry and the sweep carries
@@ -389,7 +386,7 @@ def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float],
             # derived on first use, so input that cannot be reduced fails per scale as well
             stats = stats or derive_stats(data)
             entries.append(SweepEntry(scale=float(scale), result=_evaluate(
-                data, stats, spec, float(scale), settings)))
+                data, stats, spec, float(scale))))
         except (ValidationError, QuadratureError) as exc:
             entries.append(SweepEntry(scale=float(scale), error=str(exc)))
     log_bfs = [e.result.log_bf for e in entries if e.result is not None]

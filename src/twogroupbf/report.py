@@ -10,7 +10,7 @@ import numpy as np
 
 from .datamodel import DerivedStats
 from .engine import BfResult, CauchyPrior, SweepResult, get_bf, posterior_log_density
-from .quadrature import Interval, QuadratureSettings
+from .quadrature import Interval
 
 __all__ = [
     "ReportOptions",
@@ -209,8 +209,7 @@ def render_json(result) -> str:
 
 
 def emit_density_curves(stats: DerivedStats, prior: CauchyPrior, region: Interval,
-                        points: int = 512,
-                        settings: QuadratureSettings | None = None):
+                        points: int = 512):
     """Prior and posterior densities of delta on an even grid.
 
     Returns (delta, prior_density, posterior_density) arrays; the posterior
@@ -223,7 +222,7 @@ def emit_density_curves(stats: DerivedStats, prior: CauchyPrior, region: Interva
     delta = np.linspace(region.lower, region.upper, points)
     with np.errstate(over="ignore"):
         prior_density = np.exp(prior.logpdf(delta))
-        posterior_density = np.exp(posterior_log_density(delta, stats, prior, settings))
+        posterior_density = np.exp(posterior_log_density(delta, stats, prior))
     return delta, prior_density, posterior_density
 
 
