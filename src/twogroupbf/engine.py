@@ -210,13 +210,16 @@ def get_bf(result: BfResult) -> float:
 _INPUT_MODES = ((RawGroups, "raw"), (SummaryMoments, "summary-moments"), (SummaryCi, "summary-ci"))
 
 
-def _log_joint(stats: DerivedStats, t: float, prior: CauchyPrior):
-    """ln of likelihood times prior density, as a function of delta."""
+def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
+    """ln of likelihood times prior density, as a function of a 1-D array
+    of delta, with one row per prior scale; the likelihood is evaluated
+    once per delta."""
     sqrt_n = math.sqrt(stats.n_eff)
+    column = np.asarray(scales, dtype=float)[:, None]
 
     def joint(delta):
-        return (specfun.noncentral_t_logpdf(t, stats.df, np.asarray(delta) * sqrt_n)
-                + prior.logpdf(delta))
+        return (specfun.noncentral_t_logpdf(t, stats.df, delta * sqrt_n)
+                + specfun.cauchy_logpdf(delta, column))
 
     return joint
 
@@ -227,8 +230,10 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
     Proportional to likelihood times prior, normalized over the whole line.
     Broadcasts over ``delta``.
     """
-    joint = _log_joint(stats, stats.t_obs, prior)
-    return joint(delta) - integrate_log(joint, _WHOLE_LINE)
+    joint = _log_joint(stats, stats.t_obs, [prior.scale])
+    (log_norm,) = integrate_log(joint, _WHOLE_LINE)
+    delta = np.asarray(delta, dtype=float)
+    return joint(delta.ravel())[0].reshape(delta.shape) - log_norm
 
 
 def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float) -> float:
@@ -293,45 +298,72 @@ _DESIGNS = {
 }
 
 
-def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
-              prior_scale: float) -> BfResult:
-    """The Bayes factor of ``spec``'s table row, from already derived stats.
-
-    ln BF10 = avg(H1) - avg(H0), where a hypothesis's log average
-    likelihood is the log marginal of its pieces minus their log prior
-    mass, or the log likelihood at delta = 0 for the point null.
-    """
-    orientation, layout = _DESIGNS[spec.design]
-    hyp = layout(spec, stats)
-    prior = CauchyPrior(scale=prior_scale)
+def _log_prior_masses(hyp: _Layout, prior: CauchyPrior) -> list:
+    """ln prior mass of H1 and of H0; the point null holds all of its mass
+    at delta = 0."""
     edges = (hyp.region.lower, *hyp.cuts, hyp.region.upper)
     masses = [prior.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
     log_prior = []
     for name, pieces in (("H1", hyp.h1), ("H0", hyp.h0)):
-        # the point null holds all of its prior mass at delta = 0
         mass = 1.0 if pieces is None else sum(masses[k] for k in pieces)
         if not mass >= _MIN_REGION_PRIOR_MASS:
             raise ValidationError(f"{name} carries essentially no prior mass ({mass:.3g})")
         log_prior.append(math.log(mass))
+    return log_prior
 
-    t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
-    log_m = integrate_log(_log_joint(stats, t_c, prior), hyp.region, cuts=hyp.cuts)
-    log_m = log_m if hyp.cuts else [log_m]
-    log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
-                else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
-               for pieces, log_p in zip((hyp.h1, hyp.h0), log_prior)]
-    log_bf10 = log_avg[0] - log_avg[1]
-    log_bf = log_bf10 if orientation == "bf10" else -log_bf10
-    return BfResult(log_bf=log_bf, orientation=orientation, design=spec.design,
-                    direction=spec.direction, prior_scale=prior_scale,
-                    input_mode=next(m for cls, m in _INPUT_MODES if isinstance(data, cls)),
-                    **hyp.fields)
+
+def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
+              scales: Sequence[float]) -> list:
+    """The Bayes factor of ``spec``'s table row at each prior scale, from
+    already derived stats, as a BfResult or the error that scale ended in.
+
+    ln BF10 = avg(H1) - avg(H0), where a hypothesis's log average
+    likelihood is the log marginal of its pieces minus their log prior
+    mass, or the log likelihood at delta = 0 for the point null.  All
+    scales share one quadrature pass, one integrand row each.
+    """
+    orientation, layout = _DESIGNS[spec.design]
+    hyp = layout(spec, stats)
+    outcomes, log_priors = {}, {}
+    for i, scale in enumerate(scales):
+        try:
+            log_priors[i] = _log_prior_masses(hyp, CauchyPrior(scale=scale))
+        except ValidationError as exc:
+            outcomes[i] = exc
+    live = list(log_priors)
+    if live:
+        t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
+        try:
+            columns = integrate_log(_log_joint(stats, t_c, [scales[i] for i in live]),
+                                    hyp.region, cuts=hyp.cuts)
+        except QuadratureError as exc:
+            columns = exc.columns or [exc] * len(live)
+        input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
+        for i, log_m in zip(live, columns):
+            if isinstance(log_m, QuadratureError):
+                outcomes[i] = QuadratureError(
+                    f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
+                    log_m.best_log_estimate, log_m.log_error_bound)
+                continue
+            log_m = log_m if hyp.cuts else [log_m]
+            log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
+                        else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
+                       for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]
+            log_bf10 = log_avg[0] - log_avg[1]
+            outcomes[i] = BfResult(
+                log_bf=log_bf10 if orientation == "bf10" else -log_bf10,
+                orientation=orientation, design=spec.design, direction=spec.direction,
+                prior_scale=scales[i], input_mode=input_mode, **hyp.fields)
+    return [outcomes[i] for i in range(len(scales))]
 
 
 def run_test(data: StudyInput, spec: TestSpec,
              prior_scale: float = DEFAULT_PRIOR_SCALE) -> BfResult:
     """The Bayes factor of whichever design ``spec`` names."""
-    return _evaluate(data, derive_stats(data), spec, prior_scale)
+    (outcome,) = _evaluate(data, derive_stats(data), spec, [prior_scale])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _require(spec: TestSpec, design: Design, message: str) -> None:
@@ -379,16 +411,14 @@ def prior_sweep(data: StudyInput, spec: TestSpec, scales: Sequence[float]) -> Sw
     if any(not (s > 0.0 and math.isfinite(s)) for s in scales):
         raise ValidationError("all prior scales must be positive finite numbers")
 
-    entries = []
-    stats = None
-    for scale in scales:
-        try:
-            # derived on first use, so input that cannot be reduced fails per scale as well
-            stats = stats or derive_stats(data)
-            entries.append(SweepEntry(scale=float(scale), result=_evaluate(
-                data, stats, spec, float(scale))))
-        except (ValidationError, QuadratureError) as exc:
-            entries.append(SweepEntry(scale=float(scale), error=str(exc)))
+    scales = [float(s) for s in scales]
+    try:
+        # derived inside, so input that cannot be reduced fails at every scale
+        outcomes = _evaluate(data, derive_stats(data), spec, scales)
+    except (ValidationError, QuadratureError) as exc:
+        outcomes = [exc] * len(scales)
+    entries = [SweepEntry(scale=s, result=o) if isinstance(o, BfResult)
+               else SweepEntry(scale=s, error=str(o)) for s, o in zip(scales, outcomes)]
     log_bfs = [e.result.log_bf for e in entries if e.result is not None]
     return SweepResult(
         entries=tuple(entries),

@@ -13,7 +13,10 @@ once on a coarse grid, and the initial panels of each piece are clustered
 geometrically around its scanned maximum so that sharp posterior peaks are
 resolved from the first pass.  The integrand is then called once for all
 initial panels and once per refinement round for all the panels it bisects
-(as SciPy's ``quad_vec`` refines many intervals at a time).
+(as SciPy's ``quad_vec`` refines many intervals at a time).  An integrand
+may also return one row per column, several integrands over the same
+abscissae (a prior sweep's scales): all rows share the scan and every
+panel, and each row converges on its own.
 """
 
 from __future__ import annotations
@@ -64,10 +67,14 @@ class QuadratureError(RuntimeError):
     Carries the best available answer so callers can decide to proceed.
     """
 
-    def __init__(self, message: str, best_log_estimate: float, log_error_bound: float):
+    def __init__(self, message: str, best_log_estimate, log_error_bound, columns=None):
         super().__init__(message)
         self.best_log_estimate = best_log_estimate
         self.log_error_bound = log_error_bound
+        # for an (m, n) integrand that ran out of subdivisions: per column,
+        # its result if it converged, else its own QuadratureError; the two
+        # estimates above then hold one entry per unconverged column
+        self.columns = columns
 
 
 # 15-point Kronrod nodes with Kronrod and embedded 7-point Gauss weights,
@@ -96,15 +103,8 @@ _GAUSS_MASK = np.array([row[2] > 0.0 for row in _GK15])
 _LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))
 
 _SCAN_POINTS = 129
+_SCAN_STEPS = np.arange(float(_SCAN_POINTS))
 _NEG_INF = float("-inf")
-
-
-def _logsumexp(values):
-    values = np.asarray(values, dtype=float)
-    m = np.max(values) if values.size else _NEG_INF
-    if not math.isfinite(m):
-        return m if values.size else _NEG_INF
-    return float(m + math.log(np.exp(values - m).sum()))
 
 
 def _make_transform(region: Interval):
@@ -134,32 +134,37 @@ def _make_transform(region: Interval):
 
 def _panels(g, f, lo, hi):
     """Log GK15 estimates, log errors and node maxima of the panels
-    (lo[i], hi[i]), from one call of g over all their nodes."""
+    (lo[i], hi[i]), one row per column, from one call of g over all their
+    nodes."""
     half = (hi - lo) / 2.0
     x = (_NODES + 1.0) * half[:, None] + lo[:, None]
-    fx = np.asarray(g(x.ravel(), f), dtype=float).reshape(x.shape)
-    bad = (np.isnan(fx) | (fx == math.inf)).any(axis=1)
+    fx = np.asarray(g(x.ravel(), f), dtype=float).reshape(-1, *x.shape)
+    bad = np.isnan(fx) | (fx == math.inf)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(np.argmax(bad.any(axis=(0, 2))))
         raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
                               _NEG_INF, math.inf)
     # both rules are summed relative to the panel's own maximum, so their
     # difference keeps its relative accuracy at any log magnitude
-    top = fx.max(axis=1)
+    top = fx.max(axis=2)
     m = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        sum_k = np.exp(fx + _LOG_WK - m[:, None]).sum(axis=1)
-        sum_g = np.exp(fx[:, _GAUSS_MASK] + _LOG_WG - m[:, None]).sum(axis=1)
+        sum_k = np.exp(fx + _LOG_WK - m[..., None]).sum(axis=2)
+        sum_g = np.exp(fx[..., _GAUSS_MASK] + _LOG_WG - m[..., None]).sum(axis=2)
         log_scale = m + np.log(half)
         return np.log(sum_k) + log_scale, np.log(np.abs(sum_k - sum_g)) + log_scale, top
 
 
 def _initial_breakpoints(grid, vals, lo: float, hi: float):
-    """Breakpoints of (lo, hi) clustered around the scanned maximum inside
-    it, and that maximum (None when no finite scan value falls inside)."""
-    inside = (grid > lo) & (grid < hi) & np.isfinite(vals)
-    peak = int(np.argmax(np.where(inside, vals, _NEG_INF)))
-    mode = float(grid[peak]) if inside.any() else (lo + hi) / 2.0
+    """Breakpoints of (lo, hi) clustered around the maximum of the columns'
+    envelope scanned inside it, and each column's scanned maximum there.
+
+    ``vals`` holds one scan row per column with its non-finite values set
+    to -inf; a column maximum of -inf means no finite value fell inside.
+    """
+    inside = np.where((grid > lo) & (grid < hi), vals, _NEG_INF)
+    peak = int(np.argmax(inside))  # the first maximum over all columns
+    mode = float(grid[peak % grid.size]) if inside.flat[peak] > _NEG_INF else (lo + hi) / 2.0
 
     span = hi - lo
     points = {lo, hi}
@@ -170,24 +175,54 @@ def _initial_breakpoints(grid, vals, lo: float, hi: float):
                 points.add(p)
         width /= 2.0
     points.add(mode)
-    return sorted(points), (float(vals[peak]) if inside.any() else None)
+    return sorted(points), inside.max(axis=1)
+
+
+def _piece_logsumexp(owner, pieces: int, *arrays):
+    """ln sum exp of each row of each array over each piece's panels, as
+    arrays of shape (rows, pieces).
+
+    Each array is reduced on its own: numpy sums the rows of a taller
+    array in another order, and one row must match a 1-D sum bit for bit.
+    """
+    out = [np.empty((v.shape[0], pieces)) for v in arrays]
+    with np.errstate(invalid="ignore"):
+        for k in range(pieces):
+            member = owner == k if pieces > 1 else slice(None)
+            for values, into in zip(arrays, out):
+                v = values[:, member]
+                top = np.maximum.reduce(v, axis=1)
+                sums = np.add.reduce(np.exp(v - top[:, None]), axis=1)
+                # libm's log: numpy's differs in the last bit, which would
+                # move the reported values
+                into[:, k] = [t + math.log(s) if math.isfinite(t) else t
+                              for t, s in zip(top.tolist(), sums.tolist())]
+    return out
 
 
 def integrate_log(f, region: Interval, settings: QuadratureSettings | None = None,
                   cuts: Sequence[float] = ()):
     """ln of the integral of exp(f(x)) dx over ``region``, or over its pieces.
 
-    ``f`` must accept a numpy array of abscissae and return log values
-    (-inf is fine, NaN and +inf are not).  Increasing interior ``cuts`` split the
+    ``f`` must accept a numpy array of n abscissae and return n log values
+    (-inf is fine, NaN and +inf are not), or an (m, n) array: m integrands,
+    one per row, that share every panel (as SciPy's ``quad_vec`` does for
+    vector-valued integrands).  Increasing interior ``cuts`` split the
     region into pieces, integrated in one pass with a breakpoint forced at
     every cut (as QUADPACK's QAGP does); the result is then a list with
-    one log integral per piece, in increasing x, else a float.  Each piece
-    converges on its own: when its summed panel error is below ``rel_tol``
-    relative to its integral, or below ``abs_tol_log`` on the linear scale
-    shifted by its own maximum, so a far-tail piece keeps its relative
-    accuracy.  Failure to converge raises :class:`QuadratureError` naming
-    each unconverged piece, with the best estimate for the whole region
-    attached.
+    one log integral per piece, in increasing x, else a float.  An (m, n)
+    integrand gives a list of m such results.
+
+    Each (column, piece) pair converges on its own: when its summed panel
+    error is below ``rel_tol`` relative to its integral, or below
+    ``abs_tol_log`` on the linear scale shifted by its own maximum, so a
+    far-tail piece keeps its relative accuracy.  A refinement round bisects
+    the union of the panels the unconverged pairs pick, and one bisection
+    serves every column.  Failure to converge raises
+    :class:`QuadratureError` naming each unconverged piece, with the best
+    estimate for the whole region attached; for an (m, n) integrand it
+    names the unconverged columns, and its ``columns`` holds each column's
+    result, or that column's own :class:`QuadratureError`.
     """
     settings = settings or QuadratureSettings()
     cuts = [float(c) for c in cuts]
@@ -199,71 +234,107 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
         raise QuadratureError(f"cuts {cuts} cannot be told apart from each other or from "
                               "the region's ends at double precision", _NEG_INF, math.inf)
     flip = math.isinf(region.lower) and math.isfinite(region.upper)  # (-inf, b) runs against x
+    pieces = len(edges) - 1
 
     # one scan of the whole region; each piece's breakpoints cluster around
-    # its own scanned maximum, and all initial panels go in one call
+    # the maximum of the columns' envelope inside it, and all initial panels
+    # go in one call
     inset = (hi - lo) / (_SCAN_POINTS + 1)
-    grid = np.linspace(lo + inset, hi - inset, _SCAN_POINTS)
+    start, stop = lo + inset, hi - inset
+    grid = _SCAN_STEPS * ((stop - start) / (_SCAN_POINTS - 1)) + start  # np.linspace, cheaper
+    grid[-1] = stop
     vals = np.asarray(g(grid, f), dtype=float)
+    plain = vals.ndim == 1  # a plain integrand is the one-column case
+    vals = vals.reshape(-1, grid.size)
+    vals = np.where(np.isfinite(vals), vals, _NEG_INF)
     seeds = [_initial_breakpoints(grid, vals, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    owner = np.repeat(np.arange(len(seeds)), [len(br) - 1 for br, _ in seeds])
+    owner = np.repeat(np.arange(pieces), [len(br) - 1 for br, _ in seeds])
     lo_p = np.concatenate([br[:-1] for br, _ in seeds])
     hi_p = np.concatenate([br[1:] for br, _ in seeds])
     log_k, err, top = _panels(g, f, lo_p, hi_p)
 
-    # each piece's log shift, which makes the linear-scale floor meaningful:
-    # its scanned maximum, else the maximum of its own nodes
-    shifts = [s if s is not None else float(top[owner == k].max())
-              for k, (_, s) in enumerate(seeds)]
+    # each (column, piece) pair's log shift, which makes the linear-scale
+    # floor meaningful: its scanned maximum, else the maximum of its own nodes
+    shifts = np.array([s for _, s in seeds]).T
+    if shifts.min() == _NEG_INF:
+        unscanned = shifts == _NEG_INF
+        node_max = np.array([top[:, owner == k].max(axis=1) for k in range(pieces)]).T
+        shifts[unscanned] = node_max[unscanned]
 
     log_abs_floor = math.log(settings.abs_tol_log) if settings.abs_tol_log > 0 else _NEG_INF
     log_rel = math.log(settings.rel_tol)
     budget = settings.max_subdivisions
 
     while True:
-        totals = [_logsumexp(log_k[owner == k]) for k in range(len(seeds))]
-        errs = [_logsumexp(err[owner == k]) for k in range(len(seeds))]
-        unconverged = [k for k, (total, e, s) in enumerate(zip(totals, errs, shifts))
-                       if not (e <= total + log_rel or e <= s + log_abs_floor)]
-        if not unconverged:
-            logs = totals[::-1] if flip else totals
-            return logs if cuts else logs[0]
-        if not budget:
+        totals, errs = _piece_logsumexp(owner, pieces, log_k, err)
+        target = np.maximum(totals + log_rel, shifts + log_abs_floor)
+        unconverged = errs > target
+        converged = not unconverged.any()
+        if converged or not budget:
             break
-        # one round: in each unconverged piece, bisect its largest-error
-        # panels until the rest is within the piece's tolerance
+        # one round: each unconverged (column, piece) pair picks its
+        # largest-error panels until the rest is within its tolerance, and
+        # the union of the picks is bisected, in first-pick order
         picks = []
-        for k in unconverged:
+        for k in np.flatnonzero(unconverged.any(axis=0)):
+            rows = unconverged[:, k]
             idx = np.flatnonzero(owner == k)
-            idx = idx[np.argsort(-err[idx])]
-            rest = np.append(np.logaddexp.accumulate(err[idx][::-1])[-2::-1], _NEG_INF)
-            target = max(totals[k] + log_rel, shifts[k] + log_abs_floor)
-            picks.append(idx[:int(np.argmax(rest <= target)) + 1])
+            pair_err = err[rows][:, idx]
+            order = np.argsort(-pair_err, axis=1)
+            # the summed error left after bisecting the i + 1 largest; it
+            # falls along each row, so the count of entries above the
+            # target is where the picks stop
+            rest = np.logaddexp.accumulate(np.sort(pair_err, axis=1), axis=1)[:, -2::-1]
+            counts = (rest > target[rows, k:k + 1]).sum(axis=1) + 1
+            chosen = [idx[o[:c]] for o, c in zip(order, counts)]
+            if len(chosen) > 1:  # columns of one piece share panels: keep first picks
+                chosen = np.concatenate(chosen)
+                chosen = [chosen[np.sort(np.unique(chosen, return_index=True)[1])]]
+            picks += chosen
         pick = np.concatenate(picks)
-        if pick.size > budget:  # the largest errors relative to their pieces
-            rel = err[pick] - np.array(totals)[owner[pick]]
+        if pick.size > budget:  # the largest errors relative to their unconverged pieces
+            rel = np.where(unconverged[:, owner[pick]],
+                           err[:, pick] - totals[:, owner[pick]], _NEG_INF).max(axis=0)
             pick = pick[np.argsort(-rel)[:budget]]
         a, b = lo_p[pick], hi_p[pick]
         mid = (a + b) / 2.0
         split = (a < mid) & (mid < b)
-        err[pick[~split]] = _NEG_INF  # interval exhausted at double precision
-        pick, a, b, mid = pick[split], a[split], b[split], mid[split]
-        if not pick.size:
-            continue
+        if not split.all():
+            err[:, pick[~split]] = _NEG_INF  # interval exhausted at double precision
+            pick, a, b, mid = pick[split], a[split], b[split], mid[split]
+            if not pick.size:
+                continue
         n = pick.size
         budget -= n
         new_k, new_err, _ = _panels(g, f, np.concatenate([a, mid]), np.concatenate([mid, b]))
-        hi_p[pick], log_k[pick], err[pick] = mid, new_k[:n], new_err[:n]
-        lo_p, hi_p, owner = np.append(lo_p, mid), np.append(hi_p, b), np.append(owner, owner[pick])
-        log_k, err = np.append(log_k, new_k[n:]), np.append(err, new_err[n:])
+        hi_p[pick], log_k[:, pick], err[:, pick] = mid, new_k[:, :n], new_err[:, :n]
+        lo_p, hi_p = np.concatenate((lo_p, mid)), np.concatenate((hi_p, b))
+        owner = np.concatenate((owner, owner[pick]))
+        log_k = np.concatenate((log_k, new_k[:, n:]), axis=1)
+        err = np.concatenate((err, new_err[:, n:]), axis=1)
 
+    if flip:
+        totals, errs, unconverged = totals[:, ::-1], errs[:, ::-1], unconverged[:, ::-1]
+    logs = totals.tolist()
+    results = [row if cuts else row[0] for row in logs]
+    if converged:
+        return results[0] if plain else results
+    log_errs = errs.tolist()
+    failed = np.flatnonzero(unconverged.any(axis=1))
     x_edges = [region.lower, *cuts, region.upper]
-    names = list(zip(x_edges[:-1], x_edges[1:]))[::-1 if flip else 1]
-    detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
-                       f"{totals[k]:.6g}, log error {errs[k]:.6g}"
-                       for k in (unconverged[::-1] if flip else unconverged))
-    total, error = _logsumexp(totals), _logsumexp(errs)
-    raise QuadratureError(
-        f"quadrature did not converge after {settings.max_subdivisions} subdivisions in "
-        f"{detail} (whole region: log estimate {total:.6g}, log error bound {error:.6g})",
-        total, error)
+    names = list(zip(x_edges[:-1], x_edges[1:]))
+    for j in failed:
+        detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
+                           f"{logs[j][k]:.6g}, log error {log_errs[j][k]:.6g}"
+                           for k in np.flatnonzero(unconverged[j]))
+        total, error = float(np.logaddexp.reduce(logs[j])), float(np.logaddexp.reduce(log_errs[j]))
+        results[j] = QuadratureError(
+            f"quadrature did not converge after {settings.max_subdivisions} subdivisions in "
+            f"{detail} (whole region: log estimate {total:.6g}, log error bound {error:.6g})",
+            total, error)
+    if plain:
+        raise results[0]
+    raise QuadratureError("; ".join(f"column {j}: {results[j]}" for j in failed),
+                          np.array([results[j].best_log_estimate for j in failed]),
+                          np.array([results[j].log_error_bound for j in failed]),
+                          columns=results)

@@ -78,12 +78,18 @@ def central_t_logpdf(t, df):
 # ---------------------------------------------------------------------------
 
 def cauchy_logpdf(x, scale):
-    """ln density of a zero-location Cauchy with the given scale."""
-    if scale <= 0.0 or math.isnan(scale):
+    """ln density of a zero-location Cauchy with the given scale.
+
+    Broadcasts over ``x`` and ``scale``.
+    """
+    scale = np.asarray(scale, dtype=float)
+    scales = scale.ravel().tolist()
+    if not all(s > 0.0 for s in scales):
         raise DomainError("cauchy_logpdf requires scale > 0")
-    x = np.asarray(x, dtype=float)
-    z = x / scale
-    return -math.log(math.pi * scale) - np.log1p(z * z)
+    z = np.asarray(x, dtype=float) / scale
+    # libm's log for the normalizer, whose last bit numpy's log may not match
+    neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
+    return neg_log_norm - np.log1p(z * z)
 
 
 # ---------------------------------------------------------------------------

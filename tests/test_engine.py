@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_moments
 from twogroupbf import engine as engine_module
+from twogroupbf import specfun
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, ValidationError, derive_stats
 from twogroupbf.engine import (
     DEFAULT_PRIOR_SCALE,
@@ -23,7 +24,7 @@ from twogroupbf.engine import (
     super_bf,
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
-from twogroupbf.quadrature import Interval, integrate_log
+from twogroupbf.quadrature import Interval, QuadratureSettings, integrate_log
 from twogroupbf.specfun import noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
@@ -424,11 +425,18 @@ class TestPriorSweep:
         spec = TestSpec.superiority()
         scales = [0.25, 0.5, 1.0, 2.0]
         sweep = prior_sweep(STUDY_51, spec, scales)
-        individual = [super_bf(STUDY_51, spec, s).log_bf for s in scales]
         assert [e.scale for e in sweep.entries] == scales
-        assert [e.result.log_bf for e in sweep.entries] == individual
-        assert sweep.min_log_bf == min(individual)
-        assert sweep.max_log_bf == max(individual)
+        # the scales share one set of panels, so an entry matches its single
+        # run to rounding, not bit for bit, and the grid oracle to 1e-6
+        log_bfs = [e.result.log_bf for e in sweep.entries]
+        stats = derive_stats(STUDY_51)
+        for scale, log_bf in zip(scales, log_bfs):
+            assert log_bf == pytest.approx(super_bf(STUDY_51, spec, scale).log_bf, abs=1e-12)
+            prior = CauchyPrior(scale=scale)
+            grid = GridSpec(span=default_span(prior), nodes=100_001)
+            assert log_bf == pytest.approx(math.log(grid_bf(stats, prior, spec, grid)), abs=1e-6)
+        assert sweep.min_log_bf == min(log_bfs)
+        assert sweep.max_log_bf == max(log_bfs)
         # the stats, with the CI's t quantile, are derived once per sweep
         calls = []
         monkeypatch.setattr(engine_module, "derive_stats",
@@ -449,6 +457,40 @@ class TestPriorSweep:
         sweep = prior_sweep(degenerate, spec, [0.5, 1.0])
         assert [e.error for e in sweep.entries] == ["degenerate pooled variance"] * 2
         assert sweep.min_log_bf is None
+
+    def test_unconverged_scale_is_isolated(self, monkeypatch):
+        # an integrable singularity in the last scale's row, under a capped
+        # budget, leaves only that scale unconverged
+        def capped(f, region, cuts=()):
+            def g(x):
+                out = f(x)
+                out[-1] -= 0.9 * np.log(np.abs(x - 0.3))
+                return out
+            return integrate_log(g, region, QuadratureSettings(max_subdivisions=20), cuts)
+
+        spec = TestSpec.superiority()
+        monkeypatch.setattr(engine_module, "integrate_log", capped)
+        sweep = prior_sweep(STUDY_51, spec, [0.5, 1.0, 2.0])
+        monkeypatch.undo()
+        for entry in sweep.entries[:2]:
+            single = super_bf(STUDY_51, spec, entry.scale).log_bf
+            assert entry.result.log_bf == pytest.approx(single, abs=1e-12)
+        error = sweep.entries[2].error
+        assert error.startswith("superiority at prior scale 2: quadrature did not converge")
+        assert "piece (-inf, inf)" in error
+
+    def test_sweep_costs_at_most_three_single_runs(self, monkeypatch):
+        points = []
+        density = specfun.noncentral_t_logpdf
+        monkeypatch.setattr(specfun, "noncentral_t_logpdf",
+                            lambda t, df, ncp: points.append(np.size(ncp)) or density(t, df, ncp))
+        spec = TestSpec.non_inferiority(1.0, direction="low")
+        infer_bf(STUDY_47, spec)
+        single = sum(points)
+        points.clear()
+        sweep = prior_sweep(STUDY_47, spec, list(np.geomspace(0.1, 10.0, 50)))
+        assert all(e.result is not None for e in sweep.entries)
+        assert sum(points) <= 3 * single
 
     def test_empty_scales_rejected(self):
         with pytest.raises(ValidationError):

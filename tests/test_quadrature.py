@@ -191,6 +191,72 @@ def test_round_is_cut_to_the_remaining_budget():
     assert _bisections(sizes) == budget
 
 
+def test_one_row_integrand_matches_the_plain_form():
+    cases = (
+        (lambda x: cauchy_logpdf(x, 1.0), Interval(-math.inf, math.inf), ()),
+        (lambda x: -0.5 * (x - 0.7) ** 2, Interval(-math.inf, 1.0), (-4.0, 0.5)),
+        (lambda x: np.log(2.0 + np.sin(200.0 * x)), Interval(0.0, 1.0), (0.25,)),
+    )
+    for f, region, cuts in cases:
+        assert integrate_log(lambda x: f(x)[None, :], region, cuts=cuts) == [
+            integrate_log(f, region, cuts=cuts)]
+
+
+def test_columns_keep_relative_accuracy_in_their_own_pieces():
+    # each column holds e^-700 of its mass in one piece, in a peak narrower
+    # than the other column's there; judged against the columns' envelope,
+    # that piece would be accepted unresolved (off by ~1e-2)
+    def f(x):
+        return np.stack([np.where(x < 0.0, -0.5 * x * x, -700.0 - 0.5 * ((x - 2.0) / 0.05) ** 2),
+                         np.where(x < 0.0, -700.0 - 0.5 * ((x + 2.0) / 0.05) ** 2,
+                                  -0.5 * (x - 1.0) ** 2)])
+
+    def log_normal_mass(mean, sd, lo, hi):
+        cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))
+        return math.log(sd * math.sqrt(2.0 * math.pi)
+                        * (cdf((hi - mean) / sd) - cdf((lo - mean) / sd)))
+
+    exact = [[log_normal_mass(0.0, 1.0, -math.inf, 0.0),
+              log_normal_mass(2.0, 0.05, 0.0, math.inf) - 700.0],
+             [log_normal_mass(-2.0, 0.05, -math.inf, 0.0) - 700.0,
+              log_normal_mass(1.0, 1.0, 0.0, math.inf)]]
+    got = integrate_log(f, Interval(-math.inf, math.inf), cuts=(0.0,))
+    for column, want in zip(got, exact):
+        assert column == pytest.approx(want, abs=1e-8)
+
+
+def test_columns_share_one_point_layout():
+    # every call takes one 1-D array of abscissae for all columns, laid out
+    # as for a plain integrand, whatever the number of columns
+    base = lambda x: np.log(2.0 + np.sin(200.0 * x))
+    plain, plain_sizes = _recording(base)
+    integrate_log(plain, Interval(0.0, 1.0))
+    for m in (1, 4, 50):
+        def f(x):
+            assert np.ndim(x) == 1
+            return base(x)[None, :] * np.linspace(1.0, 2.0, m)[:, None]
+        recorded, sizes = _recording(f)
+        assert len(integrate_log(recorded, Interval(0.0, 1.0))) == m
+        assert _bisections(sizes) > 0
+        if m == 1:
+            assert sizes == plain_sizes
+
+
+def test_columns_that_converge_keep_their_results():
+    # only the column with the x^-0.9 endpoint singularity runs out of
+    # subdivisions; the smooth one keeps its result
+    f = lambda x: np.stack([-0.9 * np.log(x), -x * x])
+    settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
+    with pytest.raises(QuadratureError) as err:
+        integrate_log(f, Interval(0.0, 1.0), settings)
+    singular, smooth = err.value.columns
+    assert isinstance(singular, QuadratureError) and "piece (0, 1)" in str(singular)
+    assert singular.best_log_estimate == pytest.approx(math.log(10.0), abs=0.5)
+    assert smooth == pytest.approx(math.log(math.sqrt(math.pi) / 2.0 * math.erf(1.0)),
+                                   abs=1e-10)
+    assert str(err.value).startswith("column 0: ") and "column 1" not in str(err.value)
+
+
 def test_nan_integrand_raises():
     for bad in (np.nan, np.inf):
         f = lambda x: np.where(x > 0.5, bad, 0.0)
