@@ -27,8 +27,8 @@ from .engine import (
     savage_dickey_bf,
     super_bf,
 )
-from .quadrature import Interval, QuadratureError, QuadratureSettings, integrate_log
-from .report import ReportOptions, emit_density_curves, render_json, render_text
+from .quadrature import Interval, QuadratureError, integrate_log
+from .report import emit_density_curves, render_json, render_text
 
 __version__ = "0.1.0"
 
@@ -39,9 +39,7 @@ __all__ = [
     "DerivedStats",
     "Interval",
     "QuadratureError",
-    "QuadratureSettings",
     "RawGroups",
-    "ReportOptions",
     "StudyInput",
     "SummaryCi",
     "SummaryMoments",

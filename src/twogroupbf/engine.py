@@ -123,16 +123,18 @@ class TestSpec:
             if self.ni_margin is not None or self.interval is not None:
                 raise ValidationError("margins are not part of a superiority test")
         elif self.design == "non_inferiority":
-            if self.ni_margin is None or self.ni_margin < 0.0:
-                raise ValidationError("non-inferiority needs ni_margin >= 0")
+            if self.ni_margin is None or not 0.0 <= self.ni_margin < math.inf:
+                raise ValidationError(f"non-inferiority needs a finite ni_margin >= 0, "
+                                      f"got {self.ni_margin}")
             if self.alternative is not None or self.interval is not None:
                 raise ValidationError("only ni_margin applies to a non-inferiority test")
         elif self.design == "equivalence":
             if self.interval is None:
                 raise ValidationError("equivalence needs an interval")
             lo, hi = self.interval
-            if math.isnan(lo) or math.isnan(hi) or lo > hi:
-                raise ValidationError("equivalence interval needs lower <= upper")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValidationError("equivalence interval needs finite bounds with "
+                                      f"lower <= upper, got {self.interval}")
             if self.alternative is not None or self.ni_margin is not None:
                 raise ValidationError("only interval applies to an equivalence test")
         else:
@@ -154,9 +156,9 @@ class TestSpec:
                     standardized: bool = False,
                     direction: Direction = "high") -> "TestSpec":
         # a scalar v means the symmetric interval (-v, v); 0 is the point null
-        if isinstance(interval, (int, float)):
+        if np.ndim(interval) == 0:
             v = abs(float(interval))
-            interval = (-v, v) if v > 0.0 else (0.0, 0.0)
+            interval = (0.0, 0.0) if v == 0.0 else (-v, v)
         else:
             interval = (float(interval[0]), float(interval[1]))
         return cls(design="equivalence", direction=direction,
@@ -231,7 +233,10 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
     Broadcasts over ``delta``.
     """
     joint = _log_joint(stats, stats.t_obs, [prior.scale])
-    (log_norm,) = integrate_log(joint, _WHOLE_LINE)
+    (row,) = integrate_log(joint, _WHOLE_LINE)
+    if isinstance(row, QuadratureError):
+        raise row
+    (log_norm,) = row
     delta = np.asarray(delta, dtype=float)
     return joint(delta.ravel())[0].reshape(delta.shape) - log_norm
 
@@ -334,18 +339,17 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
     if live:
         t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
         try:
-            columns = integrate_log(_log_joint(stats, t_c, [scales[i] for i in live]),
-                                    hyp.region, cuts=hyp.cuts)
-        except QuadratureError as exc:
-            columns = exc.columns or [exc] * len(live)
+            rows = integrate_log(_log_joint(stats, t_c, [scales[i] for i in live]),
+                                 hyp.region, cuts=hyp.cuts)
+        except QuadratureError as exc:  # the integrand or the cuts fail every scale
+            rows = [exc] * len(live)
         input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
-        for i, log_m in zip(live, columns):
+        for i, log_m in zip(live, rows):
             if isinstance(log_m, QuadratureError):
                 outcomes[i] = QuadratureError(
                     f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
                     log_m.best_log_estimate, log_m.log_error_bound)
                 continue
-            log_m = log_m if hyp.cuts else [log_m]
             log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
                         else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
                        for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]

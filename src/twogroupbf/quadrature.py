@@ -1,10 +1,11 @@
 """Adaptive Gauss-Kronrod integration of log-scale integrands.
 
-``integrate_log`` returns ln of the integral of exp(f) over an interval
-whose endpoints may be infinite, or over each piece of it between given
-cut points.  All bookkeeping stays in log space: the integrands this
-package feeds in routinely span thousands of nats, and the interesting
-region integrals can be smaller than 1e-300 in linear scale.
+``integrate_log`` takes a log-integrand f with one row per integrand (a
+prior sweep's scales, say) and returns ln of each row's integral of exp(f)
+over each piece of an interval, whose endpoints may be infinite, between
+given cut points.  All bookkeeping stays in log space: the integrands
+this package feeds in routinely span thousands of nats, and the
+interesting region integrals can be smaller than 1e-300 in linear scale.
 
 Infinite endpoints are mapped to finite ones by a change of variables
 (x = tan(theta) for a doubly infinite interval, x = a + u/(1-u) and its
@@ -13,10 +14,8 @@ once on a coarse grid, and the initial panels of each piece are clustered
 geometrically around its scanned maximum so that sharp posterior peaks are
 resolved from the first pass.  The integrand is then called once for all
 initial panels and once per refinement round for all the panels it bisects
-(as SciPy's ``quad_vec`` refines many intervals at a time).  An integrand
-may also return one row per column, several integrands over the same
-abscissae (a prior sweep's scales): all rows share the scan and every
-panel, and each row converges on its own.
+(as SciPy's ``quad_vec`` refines many intervals at a time).  All rows share
+the scan and every panel, and each row converges on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Interval", "QuadratureSettings", "QuadratureError", "integrate_log"]
+__all__ = ["Interval", "QuadratureError", "integrate_log"]
+
+_REL_TOL = 1e-8
+_ABS_TOL_LOG = 1e-12  # absolute floor on the linear (shifted) scale
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -48,33 +51,17 @@ class Interval:
         return math.isfinite(self.lower) and math.isfinite(self.upper)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-8
-    abs_tol_log: float = 1e-12  # absolute floor on the linear (shifted) scale
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
 class QuadratureError(RuntimeError):
-    """Raised when the error estimate fails to meet tolerance.
+    """A quadrature that failed: a row that did not converge, or an
+    integrand or cuts that no row can be integrated with.
 
     Carries the best available answer so callers can decide to proceed.
     """
 
-    def __init__(self, message: str, best_log_estimate, log_error_bound, columns=None):
+    def __init__(self, message: str, best_log_estimate: float, log_error_bound: float):
         super().__init__(message)
         self.best_log_estimate = best_log_estimate
         self.log_error_bound = log_error_bound
-        # for an (m, n) integrand that ran out of subdivisions: per column,
-        # its result if it converged, else its own QuadratureError; the two
-        # estimates above then hold one entry per unconverged column
-        self.columns = columns
 
 
 # 15-point Kronrod nodes with Kronrod and embedded 7-point Gauss weights,
@@ -134,7 +121,7 @@ def _make_transform(region: Interval):
 
 def _panels(g, f, lo, hi):
     """Log GK15 estimates, log errors and node maxima of the panels
-    (lo[i], hi[i]), one row per column, from one call of g over all their
+    (lo[i], hi[i]), one row per integrand, from one call of g over all their
     nodes."""
     half = (hi - lo) / 2.0
     x = (_NODES + 1.0) * half[:, None] + lo[:, None]
@@ -156,14 +143,14 @@ def _panels(g, f, lo, hi):
 
 
 def _initial_breakpoints(grid, vals, lo: float, hi: float):
-    """Breakpoints of (lo, hi) clustered around the maximum of the columns'
-    envelope scanned inside it, and each column's scanned maximum there.
+    """Breakpoints of (lo, hi) clustered around the maximum of the rows'
+    envelope scanned inside it, and each row's scanned maximum there.
 
-    ``vals`` holds one scan row per column with its non-finite values set
-    to -inf; a column maximum of -inf means no finite value fell inside.
+    ``vals`` holds one scan row per integrand with its non-finite values set
+    to -inf; a row maximum of -inf means no finite value fell inside.
     """
     inside = np.where((grid > lo) & (grid < hi), vals, _NEG_INF)
-    peak = int(np.argmax(inside))  # the first maximum over all columns
+    peak = int(np.argmax(inside))  # the first maximum over all rows
     mode = float(grid[peak % grid.size]) if inside.flat[peak] > _NEG_INF else (lo + hi) / 2.0
 
     span = hi - lo
@@ -200,31 +187,30 @@ def _piece_logsumexp(owner, pieces: int, *arrays):
     return out
 
 
-def integrate_log(f, region: Interval, settings: QuadratureSettings | None = None,
-                  cuts: Sequence[float] = ()):
-    """ln of the integral of exp(f(x)) dx over ``region``, or over its pieces.
+def integrate_log(f, region: Interval, cuts: Sequence[float] = ()) -> list:
+    """ln of the integral of exp(f(x)) dx over each piece of ``region``,
+    for each row of ``f``.
 
-    ``f`` must accept a numpy array of n abscissae and return n log values
-    (-inf is fine, NaN and +inf are not), or an (m, n) array: m integrands,
-    one per row, that share every panel (as SciPy's ``quad_vec`` does for
-    vector-valued integrands).  Increasing interior ``cuts`` split the
-    region into pieces, integrated in one pass with a breakpoint forced at
-    every cut (as QUADPACK's QAGP does); the result is then a list with
-    one log integral per piece, in increasing x, else a float.  An (m, n)
-    integrand gives a list of m such results.
+    ``f`` maps a numpy array of n abscissae to an (m, n) array of log
+    values (-inf is fine, NaN and +inf are not): m integrands, one per row,
+    that share every panel (as SciPy's ``quad_vec`` does for vector-valued
+    integrands); a 1-D return is one row.  Increasing interior ``cuts``
+    split the region into pieces, integrated in one pass with a breakpoint
+    forced at every cut (as QUADPACK's QAGP does).
 
-    Each (column, piece) pair converges on its own: when its summed panel
-    error is below ``rel_tol`` relative to its integral, or below
-    ``abs_tol_log`` on the linear scale shifted by its own maximum, so a
+    The result holds one entry per row: a list of that row's log integrals
+    per piece, in increasing x (one entry when there are no cuts), or, for
+    a row that did not converge, its own :class:`QuadratureError` naming
+    each unconverged piece, with the best estimate for the whole region
+    attached.  Each (row, piece) pair converges on its own: when its summed
+    panel error is below ``_REL_TOL`` relative to its integral, or below
+    ``_ABS_TOL_LOG`` on the linear scale shifted by its own maximum, so a
     far-tail piece keeps its relative accuracy.  A refinement round bisects
     the union of the panels the unconverged pairs pick, and one bisection
-    serves every column.  Failure to converge raises
-    :class:`QuadratureError` naming each unconverged piece, with the best
-    estimate for the whole region attached; for an (m, n) integrand it
-    names the unconverged columns, and its ``columns`` holds each column's
-    result, or that column's own :class:`QuadratureError`.
+    serves every row, for at most ``_MAX_SUBDIVISIONS`` bisections in all.
+    Only failures that hit every row raise :class:`QuadratureError`: a NaN
+    or +inf integrand value, or cuts that cannot be told apart.
     """
-    settings = settings or QuadratureSettings()
     cuts = [float(c) for c in cuts]
     if any(not region.lower < c < region.upper for c in cuts) or cuts != sorted(set(cuts)):
         raise ValueError("cuts must increase strictly inside the region")
@@ -237,15 +223,13 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
     pieces = len(edges) - 1
 
     # one scan of the whole region; each piece's breakpoints cluster around
-    # the maximum of the columns' envelope inside it, and all initial panels
+    # the maximum of the rows' envelope inside it, and all initial panels
     # go in one call
     inset = (hi - lo) / (_SCAN_POINTS + 1)
     start, stop = lo + inset, hi - inset
     grid = _SCAN_STEPS * ((stop - start) / (_SCAN_POINTS - 1)) + start  # np.linspace, cheaper
     grid[-1] = stop
-    vals = np.asarray(g(grid, f), dtype=float)
-    plain = vals.ndim == 1  # a plain integrand is the one-column case
-    vals = vals.reshape(-1, grid.size)
+    vals = np.asarray(g(grid, f), dtype=float).reshape(-1, grid.size)
     vals = np.where(np.isfinite(vals), vals, _NEG_INF)
     seeds = [_initial_breakpoints(grid, vals, a, b) for a, b in zip(edges[:-1], edges[1:])]
     owner = np.repeat(np.arange(pieces), [len(br) - 1 for br, _ in seeds])
@@ -253,7 +237,7 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
     hi_p = np.concatenate([br[1:] for br, _ in seeds])
     log_k, err, top = _panels(g, f, lo_p, hi_p)
 
-    # each (column, piece) pair's log shift, which makes the linear-scale
+    # each (row, piece) pair's log shift, which makes the linear-scale
     # floor meaningful: its scanned maximum, else the maximum of its own nodes
     shifts = np.array([s for _, s in seeds]).T
     if shifts.min() == _NEG_INF:
@@ -261,9 +245,9 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
         node_max = np.array([top[:, owner == k].max(axis=1) for k in range(pieces)]).T
         shifts[unscanned] = node_max[unscanned]
 
-    log_abs_floor = math.log(settings.abs_tol_log) if settings.abs_tol_log > 0 else _NEG_INF
-    log_rel = math.log(settings.rel_tol)
-    budget = settings.max_subdivisions
+    log_abs_floor = math.log(_ABS_TOL_LOG)
+    log_rel = math.log(_REL_TOL)
+    budget = _MAX_SUBDIVISIONS
 
     while True:
         totals, errs = _piece_logsumexp(owner, pieces, log_k, err)
@@ -272,7 +256,7 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
         converged = not unconverged.any()
         if converged or not budget:
             break
-        # one round: each unconverged (column, piece) pair picks its
+        # one round: each unconverged (row, piece) pair picks its
         # largest-error panels until the rest is within its tolerance, and
         # the union of the picks is bisected, in first-pick order
         picks = []
@@ -287,7 +271,7 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
             rest = np.logaddexp.accumulate(np.sort(pair_err, axis=1), axis=1)[:, -2::-1]
             counts = (rest > target[rows, k:k + 1]).sum(axis=1) + 1
             chosen = [idx[o[:c]] for o, c in zip(order, counts)]
-            if len(chosen) > 1:  # columns of one piece share panels: keep first picks
+            if len(chosen) > 1:  # rows of one piece share panels: keep first picks
                 chosen = np.concatenate(chosen)
                 chosen = [chosen[np.sort(np.unique(chosen, return_index=True)[1])]]
             picks += chosen
@@ -315,26 +299,20 @@ def integrate_log(f, region: Interval, settings: QuadratureSettings | None = Non
 
     if flip:
         totals, errs, unconverged = totals[:, ::-1], errs[:, ::-1], unconverged[:, ::-1]
-    logs = totals.tolist()
-    results = [row if cuts else row[0] for row in logs]
+    results = totals.tolist()
     if converged:
-        return results[0] if plain else results
+        return results
     log_errs = errs.tolist()
-    failed = np.flatnonzero(unconverged.any(axis=1))
     x_edges = [region.lower, *cuts, region.upper]
     names = list(zip(x_edges[:-1], x_edges[1:]))
-    for j in failed:
+    for j in np.flatnonzero(unconverged.any(axis=1)):
         detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
-                           f"{logs[j][k]:.6g}, log error {log_errs[j][k]:.6g}"
+                           f"{results[j][k]:.6g}, log error {log_errs[j][k]:.6g}"
                            for k in np.flatnonzero(unconverged[j]))
-        total, error = float(np.logaddexp.reduce(logs[j])), float(np.logaddexp.reduce(log_errs[j]))
+        total = float(np.logaddexp.reduce(results[j]))
+        error = float(np.logaddexp.reduce(log_errs[j]))
         results[j] = QuadratureError(
-            f"quadrature did not converge after {settings.max_subdivisions} subdivisions in "
+            f"quadrature did not converge after {_MAX_SUBDIVISIONS} subdivisions in "
             f"{detail} (whole region: log estimate {total:.6g}, log error bound {error:.6g})",
             total, error)
-    if plain:
-        raise results[0]
-    raise QuadratureError("; ".join(f"column {j}: {results[j]}" for j in failed),
-                          np.array([results[j].best_log_estimate for j in failed]),
-                          np.array([results[j].log_error_bound for j in failed]),
-                          columns=results)
+    return results

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +12,6 @@ from .engine import BfResult, CauchyPrior, SweepResult, get_bf, posterior_log_de
 from .quadrature import Interval
 
 __all__ = [
-    "ReportOptions",
     "render_text",
     "render_sweep_text",
     "render_json",
@@ -24,18 +22,10 @@ __all__ = [
 _RULE = "*" * 30
 _LABEL_WIDTH = 30
 _SCI_LOG10_THRESHOLD = 4.0  # |log10 BF| at or beyond which scientific notation kicks in
+_SIGNIFICANT_DIGITS = 3  # of a Bayes factor in scientific notation
 
 
-@dataclass(frozen=True)
-class ReportOptions:
-    significant_digits: int = 3
-
-    def __post_init__(self):
-        if not 2 <= self.significant_digits <= 10:
-            raise ValueError("significant_digits must be between 2 and 10")
-
-
-def _format_bf(log_bf: float, significant_digits: int) -> str:
+def _format_bf(log_bf: float) -> str:
     log10_bf = log_bf / math.log(10.0)
     try:
         value = math.exp(log_bf)
@@ -44,13 +34,13 @@ def _format_bf(log_bf: float, significant_digits: int) -> str:
     if abs(log10_bf) < _SCI_LOG10_THRESHOLD:
         return f"{value:.2f}"
     if value > 0.0:
-        return f"{value:.{significant_digits - 1}e}"
+        return f"{value:.{_SIGNIFICANT_DIGITS - 1}e}"
     # beyond the float range: mantissa and exponent straight from log10 BF
     exponent = math.floor(log10_bf)
     mantissa = 10.0 ** (log10_bf - exponent)
-    if f"{mantissa:.{significant_digits - 1}f}".startswith("10"):  # rounds up a decade
+    if f"{mantissa:.{_SIGNIFICANT_DIGITS - 1}f}".startswith("10"):  # rounds up a decade
         exponent, mantissa = exponent + 1, mantissa / 10.0
-    return f"{mantissa:.{significant_digits - 1}f}e{exponent:+03d}"
+    return f"{mantissa:.{_SIGNIFICANT_DIGITS - 1}f}e{exponent:+03d}"
 
 
 def _row(label: str, value: str) -> str:
@@ -116,12 +106,11 @@ def _margin_rows(result: BfResult) -> list:
     return []
 
 
-def render_text(result: BfResult, options: ReportOptions | None = None) -> str:
+def render_text(result: BfResult) -> str:
     """The console block: hypotheses, margins, prior scale, Bayes factor.
 
     Deterministic; identical results yield byte-identical blocks.
     """
-    options = options or ReportOptions()
     title = _TITLES[result.design]
     data_mode = "raw data" if result.input_mode == "raw" else "summary data"
     lines = [
@@ -133,29 +122,28 @@ def render_text(result: BfResult, options: ReportOptions | None = None) -> str:
         *_margin_rows(result),
         _row("Cauchy prior scale:", f"{result.prior_scale:.3f}"),
         "",
-        f"    {_BF_LABELS[result.design]} = {_format_bf(result.log_bf, options.significant_digits)}",
+        f"    {_BF_LABELS[result.design]} = {_format_bf(result.log_bf)}",
         _RULE,
     ]
     return "\n".join(lines) + "\n"
 
 
-def render_sweep_text(sweep: SweepResult, options: ReportOptions | None = None) -> str:
+def render_sweep_text(sweep: SweepResult) -> str:
     """Per-scale Bayes factors followed by min and max."""
-    options = options or ReportOptions()
     lines = [_RULE, "Prior scale sweep", "-" * len("Prior scale sweep")]
     label = None
     for entry in sweep.entries:
         if entry.result is not None:
             label = _BF_LABELS[entry.result.design]
-            value = _format_bf(entry.result.log_bf, options.significant_digits)
+            value = _format_bf(entry.result.log_bf)
             lines.append(f"scale = {entry.scale:.3f}    {label} = {value}")
         else:
             lines.append(f"scale = {entry.scale:.3f}    error: {entry.error}")
     if sweep.min_log_bf is not None:
         label = label or "BF"
         lines.append("")
-        lines.append(f"min {label} = {_format_bf(sweep.min_log_bf, options.significant_digits)}")
-        lines.append(f"max {label} = {_format_bf(sweep.max_log_bf, options.significant_digits)}")
+        lines.append(f"min {label} = {_format_bf(sweep.min_log_bf)}")
+        lines.append(f"max {label} = {_format_bf(sweep.max_log_bf)}")
     lines.append(_RULE)
     return "\n".join(lines) + "\n"
 

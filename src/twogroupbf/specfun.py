@@ -114,12 +114,14 @@ def cauchy_logpdf(x, scale):
 # both subtracted terms >= 0 and zero at s = 0, so nothing cancels for any
 # sign or size of a, and the trapezoid converges geometrically (Trefethen &
 # Weideman, SIAM Review 56(3), 2014).  The x*^2 e^{2s} term confines
-# analyticity to |Im s| < pi/4, hence the 0.12 cap on the node spacing.
+# analyticity to |Im s| < pi/4, so nodes must stay at most 0.12 apart;
+# 0.6 sigma exceeds that only where c + x*^2 < 25, and there the window
+# at x* -> 0 sets a node count that keeps every spacing below 0.11.
 
 _DROP = 60.0  # both window ends lie at least this many nats below the peak
 _RIGHT = math.sqrt(2.0 * _DROP)  # right end, in curvature widths sigma = 1 / sqrt(c + x*^2)
 _LEFT = math.e * _RIGHT  # left end in sigma, while that stays within s >= -1
-_STEP, _STEP_CAP = 0.6, 0.12  # node spacing at most min(_STEP sigma, _STEP_CAP)
+_STEP = 0.6  # node spacing at most _STEP sigma
 
 
 def _node_count(c):
@@ -136,7 +138,7 @@ def _node_count(c):
         for u in (0.0, min((_DROP + 0.62 * c) / 0.57, u_switch), u_switch):
             sigma = 1.0 / math.sqrt(c + u)
             span = _RIGHT * sigma + 1.0 + max(_DROP - 0.19 * u, 0.0) / c
-            steps = max(steps, span / min(_STEP * sigma, _STEP_CAP))
+            steps = max(steps, span / (_STEP * sigma))
     return math.ceil(steps) + 1
 
 

@@ -309,6 +309,24 @@ class TestValidationAndExitCodes:
         assert rc == 2
         assert "ni_margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, field", [
+        (["equiv", "--interval", "nan"], "interval"),
+        (["equiv", "--interval", "0", "inf"], "interval"),
+        (["equiv", "--interval", "-inf", "0.2"], "interval"),
+        (["sweep", "--design", "equiv", "--scales", "0.5", "1", "--interval", "nan"],
+         "interval"),
+        (["infer", "--ni-margin", "nan"], "ni_margin"),
+        (["infer", "--ni-margin", "inf"], "ni_margin"),
+        (["sweep", "--design", "infer", "--scales", "0.5", "--ni-margin", "nan"],
+         "ni_margin"),
+    ])
+    def test_non_finite_margins_are_rejected(self, extra, field, capsys):
+        rc = parse_and_run([*extra, "--n-x", "10", "--n-y", "10", "--mean-x", "0",
+                            "--mean-y", "0.1", "--sd-x", "1", "--sd-y", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert field in captured.err and captured.out == ""
+
     def test_numerical_failure_maps_to_exit_3(self, capsys, monkeypatch):
         from twogroupbf import cli
         from twogroupbf.quadrature import QuadratureError

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_moments
 from twogroupbf import engine as engine_module
+from twogroupbf import quadrature as quadrature_module
 from twogroupbf import specfun
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, ValidationError, derive_stats
 from twogroupbf.engine import (
@@ -24,7 +25,7 @@ from twogroupbf.engine import (
     super_bf,
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
-from twogroupbf.quadrature import Interval, QuadratureSettings, integrate_log
+from twogroupbf.quadrature import Interval, integrate_log
 from twogroupbf.specfun import noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
@@ -35,7 +36,7 @@ class TestPosteriorDensity:
     def test_normalizes_over_full_line(self):
         stats = derive_stats(STUDY_51)
         prior = CauchyPrior(scale=0.5)
-        total = integrate_log(
+        (total,), = integrate_log(
             lambda d: posterior_log_density(d, stats, prior),
             Interval(-math.inf, math.inf),
         )
@@ -132,10 +133,10 @@ class TestNonInferiority:
         # with even prior odds the BF is the posterior odds at zero
         stats = derive_stats(data)
         prior = CauchyPrior()
-        above = integrate_log(
+        (above,), = integrate_log(
             lambda d: posterior_log_density(d, stats, prior), Interval(0.0, math.inf)
         )
-        below = integrate_log(
+        (below,), = integrate_log(
             lambda d: posterior_log_density(d, stats, prior), Interval(-math.inf, 0.0)
         )
         assert res.log_bf == pytest.approx(above - below, abs=1e-8)
@@ -219,8 +220,8 @@ class TestEquivalence:
         def joint(d):
             return noncentral_t_logpdf(stats.t_obs, stats.df, d * sqrt_n) + prior.logpdf(d)
 
-        inside = integrate_log(joint, Interval(-50.0, 50.0))
-        full = integrate_log(joint, Interval(-math.inf, math.inf))
+        (inside,), = integrate_log(joint, Interval(-50.0, 50.0))
+        (full,), = integrate_log(joint, Interval(-math.inf, math.inf))
         assert inside == pytest.approx(full, abs=1e-3)
         # the posterior-to-prior ratio for the inside region approaches
         # 1/p_in, i.e. the interval has absorbed all posterior mass
@@ -328,8 +329,8 @@ class TestPriorMass:
             return (noncentral_t_logpdf(stats.t_obs, stats.df, np.asarray(d) * sqrt_n)
                     + prior.logpdf(d))
 
-        log_below, log_above = integrate_log(joint, Interval(-math.inf, math.inf),
-                                             cuts=(-1e6,))
+        (log_below, log_above), = integrate_log(joint, Interval(-math.inf, math.inf),
+                                                cuts=(-1e6,))
         with mpmath.workdps(50):
             tail = mpmath.atan(mpmath.mpf(scale) / mpmath.mpf(1e6)) / mpmath.pi
             log_prior_odds = float(mpmath.log((1 - tail) / tail))
@@ -461,22 +462,24 @@ class TestPriorSweep:
     def test_unconverged_scale_is_isolated(self, monkeypatch):
         # an integrable singularity in the last scale's row, under a capped
         # budget, leaves only that scale unconverged
-        def capped(f, region, cuts=()):
+        def singular(f, region, cuts=()):
             def g(x):
                 out = f(x)
                 out[-1] -= 0.9 * np.log(np.abs(x - 0.3))
                 return out
-            return integrate_log(g, region, QuadratureSettings(max_subdivisions=20), cuts)
+            return integrate_log(g, region, cuts)
 
         spec = TestSpec.superiority()
-        monkeypatch.setattr(engine_module, "integrate_log", capped)
+        monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 20)
+        monkeypatch.setattr(engine_module, "integrate_log", singular)
         sweep = prior_sweep(STUDY_51, spec, [0.5, 1.0, 2.0])
         monkeypatch.undo()
         for entry in sweep.entries[:2]:
             single = super_bf(STUDY_51, spec, entry.scale).log_bf
             assert entry.result.log_bf == pytest.approx(single, abs=1e-12)
         error = sweep.entries[2].error
-        assert error.startswith("superiority at prior scale 2: quadrature did not converge")
+        assert error.startswith("superiority at prior scale 2: quadrature did not converge "
+                                "after 20 subdivisions")
         assert "piece (-inf, inf)" in error
 
     def test_sweep_costs_at_most_three_single_runs(self, monkeypatch):
@@ -509,6 +512,27 @@ class TestSpecValidation:
             TestSpec(design="equivalence", interval=(0.5, -0.5))
         with pytest.raises(ValidationError):
             TestSpec(design="mystery")  # type: ignore[arg-type]
+
+    def test_non_finite_margins_are_rejected(self):
+        # a NaN interval must not fold into the point null
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="ni_margin"):
+                TestSpec(design="non_inferiority", ni_margin=bad)
+            with pytest.raises(ValidationError, match="interval"):
+                TestSpec.equivalence(bad)
+            with pytest.raises(ValidationError, match="interval"):
+                TestSpec.equivalence((0.0, bad))
+            with pytest.raises(ValidationError, match="interval"):
+                TestSpec.equivalence((bad, 0.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="ni_margin"):
+                TestSpec.non_inferiority(bad)
+
+    def test_equivalence_reads_any_0d_real_as_a_scalar(self):
+        for v in (1, 1.0, -1.0, np.int64(1), np.float32(1.0), np.array(1.0)):
+            assert TestSpec.equivalence(v).interval == (-1.0, 1.0)
+        for v in (0, -0.0, np.int64(0)):
+            assert TestSpec.equivalence(v).interval == (0.0, 0.0)
 
     def test_prior_validation(self):
         with pytest.raises(ValidationError):

@@ -4,54 +4,60 @@ import numpy as np
 import pytest
 
 from conftest import random_moments
+from twogroupbf import quadrature
 from twogroupbf.datamodel import derive_stats
 from twogroupbf.engine import CauchyPrior
-from twogroupbf.quadrature import (
-    Interval,
-    QuadratureError,
-    QuadratureSettings,
-    integrate_log,
-)
+from twogroupbf.quadrature import Interval, QuadratureError, integrate_log
 from twogroupbf.specfun import cauchy_logpdf, noncentral_t_logpdf
+
+TOL = 2 * quadrature._REL_TOL
+
+
+def _one(f, region, cuts=()):
+    """The single row of a plain integrand's result: its log integral, or
+    its per-piece list when there are cuts; an unconverged row is raised."""
+    (row,) = integrate_log(f, region, cuts)
+    if isinstance(row, QuadratureError):
+        raise row
+    return row if cuts else row[0]
 
 
 def test_cauchy_normalization_full_line():
-    res = integrate_log(lambda x: cauchy_logpdf(x, 1.0), Interval(-math.inf, math.inf))
+    res = _one(lambda x: cauchy_logpdf(x, 1.0), Interval(-math.inf, math.inf))
     assert res == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cauchy_half_line():
-    res = integrate_log(lambda x: cauchy_logpdf(x, 1.0), Interval(0.0, math.inf))
+    res = _one(lambda x: cauchy_logpdf(x, 1.0), Interval(0.0, math.inf))
     assert res == pytest.approx(math.log(0.5), abs=1e-10)
 
 
 def test_gaussian_kernel():
-    res = integrate_log(lambda x: -x * x, Interval(-math.inf, math.inf))
+    res = _one(lambda x: -x * x, Interval(-math.inf, math.inf))
     assert res == pytest.approx(0.5 * math.log(math.pi), abs=1e-10)
 
 
 def test_left_half_line():
-    res = integrate_log(lambda x: cauchy_logpdf(x, 2.0), Interval(-math.inf, -2.0))
+    res = _one(lambda x: cauchy_logpdf(x, 2.0), Interval(-math.inf, -2.0))
     assert res == pytest.approx(math.log(0.25), abs=1e-10)
 
 
 def test_finite_interval():
-    res = integrate_log(lambda x: np.zeros_like(x), Interval(3.0, 7.0))
+    res = _one(lambda x: np.zeros_like(x), Interval(3.0, 7.0))
     assert res == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_additivity_at_split_points():
-    settings = QuadratureSettings()
     f = lambda x: -0.5 * (x - 0.7) ** 2
-    whole = integrate_log(f, Interval(-math.inf, math.inf), settings)
+    whole = _one(f, Interval(-math.inf, math.inf))
     for c in (-3.0, 0.0, 0.7, 4.2):
-        left = integrate_log(f, Interval(-math.inf, c), settings)
-        right = integrate_log(f, Interval(c, math.inf), settings)
-        assert np.logaddexp(left, right) == pytest.approx(whole, abs=2 * settings.rel_tol)
+        left = _one(f, Interval(-math.inf, c))
+        right = _one(f, Interval(c, math.inf))
+        assert np.logaddexp(left, right) == pytest.approx(whole, abs=TOL)
         # one pass over the cut line gives the same pieces
-        pieces = integrate_log(f, Interval(-math.inf, math.inf), settings, cuts=(c,))
-        assert pieces == pytest.approx([left, right], abs=2 * settings.rel_tol)
-        assert np.logaddexp(*pieces) == pytest.approx(whole, abs=2 * settings.rel_tol)
+        pieces = _one(f, Interval(-math.inf, math.inf), cuts=(c,))
+        assert pieces == pytest.approx([left, right], abs=TOL)
+        assert np.logaddexp(*pieces) == pytest.approx(whole, abs=TOL)
 
 
 def test_pieces_converge_on_their_own_mass():
@@ -63,7 +69,7 @@ def test_pieces_converge_on_their_own_mass():
     scale = sd * math.sqrt(math.pi / 2.0)
     exact = [math.log(scale * math.erfc(-z)), math.log(scale * math.erfc(z))]
     assert exact[1] - exact[0] == pytest.approx(-50.2, abs=0.1)
-    pieces = integrate_log(f, Interval(-math.inf, math.inf), cuts=(c,))
+    pieces = _one(f, Interval(-math.inf, math.inf), cuts=(c,))
     for got, want in zip(pieces, exact):
         assert math.exp(got - want) == pytest.approx(1.0, abs=1e-8)
 
@@ -72,7 +78,7 @@ def test_pieces_of_left_half_line_come_in_increasing_order():
     # the (-inf, b) map runs against x; the pieces must not
     f = lambda x: cauchy_logpdf(x, 1.0)
     cdf = lambda x: 0.5 + math.atan(x) / math.pi
-    pieces = integrate_log(f, Interval(-math.inf, 1.0), cuts=(-4.0, 0.5))
+    pieces = _one(f, Interval(-math.inf, 1.0), cuts=(-4.0, 0.5))
     exact = [cdf(-4.0), cdf(0.5) - cdf(-4.0), cdf(1.0) - cdf(0.5)]
     assert pieces == pytest.approx([math.log(p) for p in exact], abs=1e-10)
 
@@ -89,9 +95,9 @@ def test_cut_validation():
 
 def test_log_shift_invariance():
     f = lambda x: cauchy_logpdf(x, 0.5)
-    base = integrate_log(f, Interval(-math.inf, math.inf))
+    base = _one(f, Interval(-math.inf, math.inf))
     for k in (-700.0, -3.0, 250.0, 5000.0):
-        shifted = integrate_log(lambda x: f(x) + k, Interval(-math.inf, math.inf))
+        shifted = _one(lambda x: f(x) + k, Interval(-math.inf, math.inf))
         assert shifted - k == pytest.approx(base, abs=1e-12)
 
 
@@ -107,7 +113,7 @@ def test_against_trapezoid_oracle_on_engine_integrands():
         def f(delta):
             return noncentral_t_logpdf(stats.t_obs, stats.df, delta * sqrt_n) + prior.logpdf(delta)
 
-        adaptive = integrate_log(f, Interval(-math.inf, math.inf))
+        adaptive = _one(f, Interval(-math.inf, math.inf))
         # theta-warped trapezoid over >= 1 - 1e-10 of the prior's mass
         theta = np.linspace(-math.pi / 2 * (1 - 1e-10), math.pi / 2 * (1 - 1e-10), 300_001)
         delta = prior.scale * np.tan(theta)
@@ -122,7 +128,7 @@ def test_narrow_peak_is_found():
     # floor must not accept it unresolved
     for k in (1e6, 1e8):
         f = lambda x: -k * (x - 37.25) ** 2
-        res = integrate_log(f, Interval(-math.inf, math.inf))
+        res = _one(f, Interval(-math.inf, math.inf))
         assert res == pytest.approx(0.5 * math.log(math.pi / k), abs=1e-8)
 
 
@@ -144,35 +150,35 @@ def _bisections(sizes):
     return sum(sizes[2:]) // 30
 
 
-def test_nonconvergence_raises_with_best_estimate():
+def test_nonconvergence_raises_with_best_estimate(monkeypatch):
     # integrable endpoint singularity x^-0.9 needs many panels near zero
     f, sizes = _recording(lambda x: -0.9 * np.log(x))
-    settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as err:
-        integrate_log(f, Interval(0.0, 1.0), settings)
+        _one(f, Interval(0.0, 1.0))
     assert math.isfinite(err.value.best_log_estimate)
     # true integral is 10; the carried estimate must be in the vicinity
     assert err.value.best_log_estimate == pytest.approx(math.log(10.0), abs=0.5)
     assert err.value.log_error_bound > -math.inf
     assert "piece (0, 1)" in str(err.value)
     # one call per refinement round, and the whole budget spent
-    assert len(sizes) <= 2 + settings.max_subdivisions
-    assert _bisections(sizes) == settings.max_subdivisions
+    assert len(sizes) <= 2 + 4
+    assert _bisections(sizes) == 4
 
 
-def test_error_names_each_unconverged_piece_in_x():
+def test_error_names_each_unconverged_piece_in_x(monkeypatch):
     # the singularity at the cut leaves both pieces short; the (-inf, b)
     # map runs against x, but the pieces are named in x
     f = lambda x: -0.9 * np.log(np.abs(x + 0.19)) - 2.0 * np.log1p(x * x)
-    settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as err:
-        integrate_log(f, Interval(-math.inf, 0.0), settings, cuts=(-0.19,))
+        _one(f, Interval(-math.inf, 0.0), cuts=(-0.19,))
     message = str(err.value)
     assert "piece (-inf, -0.19)" in message and "piece (-0.19, 0)" in message
     assert message.index("piece (-inf, -0.19)") < message.index("piece (-0.19, 0)")
 
 
-def test_round_is_cut_to_the_remaining_budget():
+def test_round_is_cut_to_the_remaining_budget(monkeypatch):
     # many oscillations per initial panel: the second round wants more
     # bisections than a budget of 5 leaves after the first
     f = lambda x: np.log(2.0 + np.sin(200.0 * x))
@@ -185,21 +191,11 @@ def test_round_is_cut_to_the_remaining_budget():
     assert len(free_sizes) < _bisections(free_sizes)
 
     capped, sizes = _recording(f)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
     with pytest.raises(QuadratureError):
-        integrate_log(capped, Interval(0.0, 1.0), QuadratureSettings(max_subdivisions=budget))
+        _one(capped, Interval(0.0, 1.0))
     assert sizes[:3] == free_sizes[:3]
     assert _bisections(sizes) == budget
-
-
-def test_one_row_integrand_matches_the_plain_form():
-    cases = (
-        (lambda x: cauchy_logpdf(x, 1.0), Interval(-math.inf, math.inf), ()),
-        (lambda x: -0.5 * (x - 0.7) ** 2, Interval(-math.inf, 1.0), (-4.0, 0.5)),
-        (lambda x: np.log(2.0 + np.sin(200.0 * x)), Interval(0.0, 1.0), (0.25,)),
-    )
-    for f, region, cuts in cases:
-        assert integrate_log(lambda x: f(x)[None, :], region, cuts=cuts) == [
-            integrate_log(f, region, cuts=cuts)]
 
 
 def test_columns_keep_relative_accuracy_in_their_own_pieces():
@@ -242,19 +238,16 @@ def test_columns_share_one_point_layout():
             assert sizes == plain_sizes
 
 
-def test_columns_that_converge_keep_their_results():
+def test_columns_that_converge_keep_their_results(monkeypatch):
     # only the column with the x^-0.9 endpoint singularity runs out of
     # subdivisions; the smooth one keeps its result
     f = lambda x: np.stack([-0.9 * np.log(x), -x * x])
-    settings = QuadratureSettings(rel_tol=1e-10, max_subdivisions=4)
-    with pytest.raises(QuadratureError) as err:
-        integrate_log(f, Interval(0.0, 1.0), settings)
-    singular, smooth = err.value.columns
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
+    singular, smooth = integrate_log(f, Interval(0.0, 1.0))
     assert isinstance(singular, QuadratureError) and "piece (0, 1)" in str(singular)
     assert singular.best_log_estimate == pytest.approx(math.log(10.0), abs=0.5)
-    assert smooth == pytest.approx(math.log(math.sqrt(math.pi) / 2.0 * math.erf(1.0)),
+    assert smooth == pytest.approx([math.log(math.sqrt(math.pi) / 2.0 * math.erf(1.0))],
                                    abs=1e-10)
-    assert str(err.value).startswith("column 0: ") and "column 1" not in str(err.value)
 
 
 def test_nan_integrand_raises():
@@ -273,12 +266,3 @@ def test_interval_validation():
         Interval(math.nan, 1.0)
     assert not Interval(-math.inf, 0.0).is_finite
     assert Interval(0.0, 1.0).is_finite
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=0)
-    assert QuadratureSettings().rel_tol == 1e-8
-    assert QuadratureSettings().max_subdivisions == 2000

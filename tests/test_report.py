@@ -18,7 +18,6 @@ from twogroupbf.engine import (
 )
 from twogroupbf.quadrature import Interval
 from twogroupbf.report import (
-    ReportOptions,
     emit_density_curves,
     render_json,
     render_sweep_text,
@@ -72,10 +71,6 @@ class TestRenderText:
         at_threshold = replace(res, log_bf=math.log(10000.0))
         assert "= 1.00e+04" in render_text(at_threshold)
 
-    def test_significant_digits_option(self):
-        res = replace(_reference_infer_result(), log_bf=math.log(4.41237e9))
-        assert "= 4.4124e+09" in render_text(res, ReportOptions(significant_digits=5))
-
     def test_superiority_block(self):
         res = super_bf(SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0),
                        TestSpec.superiority(alternative="two_sided"), 0.5)
@@ -123,10 +118,6 @@ class TestRenderText:
         res = super_bf(RawGroups(x=[0.0, 1.0, 2.0], y=[0.5, 1.5, 2.5]),
                        TestSpec.superiority())
         assert "Data:                         raw data" in render_text(res)
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            ReportOptions(significant_digits=1)
 
 
 class TestRenderJson:
