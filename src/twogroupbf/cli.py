@@ -279,7 +279,7 @@ def parse_and_run(argv) -> int:
                 sys.stdout.write(render_text(result))
         if args.curves:
             _write_curves(args.curves, data, args.prior_scale)
-    except (_CliError, ValidationError, ValueError) as exc:
+    except (_CliError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

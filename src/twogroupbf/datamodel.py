@@ -134,13 +134,18 @@ class DerivedStats:
 
 
 def pooled_sd(s: SummaryMoments) -> float:
-    """Pooled standard deviation under the equal-variance model."""
+    """Pooled standard deviation under the equal-variance model.
+
+    The variance is formed relative to the larger sd, so that squaring
+    neither overflows nor underflows.
+    """
+    big = max(s.sd_x, s.sd_y)
     var = (
-        (s.n_x - 1) * s.sd_x**2 + (s.n_y - 1) * s.sd_y**2
+        (s.n_x - 1) * (s.sd_x / big) ** 2 + (s.n_y - 1) * (s.sd_y / big) ** 2
     ) / (s.n_x + s.n_y - 2)
     if not var > 0.0:
         raise ValidationError("degenerate pooled variance")
-    return math.sqrt(var)
+    return big * math.sqrt(var)
 
 
 def sd_from_ci(s: SummaryCi) -> float:
@@ -152,7 +157,8 @@ def sd_from_ci(s: SummaryCi) -> float:
     sd_pooled = SE / sqrt(1/n_x + 1/n_y).
     """
     df = s.n_x + s.n_y - 2
-    q = student_t_quantile((1.0 + s.ci_level) / 2.0, df)
+    # the lower tail (1 - level)/2 is exact where (1 + level)/2 would round to 1
+    q = -student_t_quantile((1.0 - s.ci_level) / 2.0, df)
     se = s.ci_margin / q
     return se / math.sqrt(1.0 / s.n_x + 1.0 / s.n_y)
 
@@ -183,11 +189,16 @@ def derive_stats(data: StudyInput) -> DerivedStats:
 
     n_x, n_y = data.n_x, data.n_y
     se = sd * math.sqrt(1.0 / n_x + 1.0 / n_y)
+    t_obs = (data.mean_y - data.mean_x) / se if se > 0.0 else math.inf
+    if not math.isfinite(t_obs):
+        raise ValidationError(
+            f"the t statistic (mean_y - mean_x) / SE is not finite: mean_x = {data.mean_x!r}, "
+            f"mean_y = {data.mean_y!r}, SE = {se!r}")
     return DerivedStats(
         df=float(n_x + n_y - 2),
         sd_pooled=sd,
         n_eff=n_x * n_y / (n_x + n_y),
-        t_obs=(data.mean_y - data.mean_x) / se,
+        t_obs=t_obs,
     )
 
 

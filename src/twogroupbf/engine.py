@@ -354,6 +354,12 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
                         else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
                        for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]
             log_bf10 = log_avg[0] - log_avg[1]
+            if not math.isfinite(log_bf10):
+                outcomes[i] = QuadratureError(
+                    f"{spec.design} at prior scale {scales[i]:.6g}: the log Bayes factor is "
+                    f"not finite (log average likelihood {log_avg[0]!r} under H1, "
+                    f"{log_avg[1]!r} under H0)", log_bf10, math.inf)
+                continue
             outcomes[i] = BfResult(
                 log_bf=log_bf10 if orientation == "bf10" else -log_bf10,
                 orientation=orientation, design=spec.design, direction=spec.direction,

@@ -89,7 +89,8 @@ def cauchy_logpdf(x, scale):
     z = np.asarray(x, dtype=float) / scale
     # libm's log for the normalizer, whose last bit numpy's log may not match
     neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
-    return neg_log_norm - np.log1p(z * z)
+    with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
+        return neg_log_norm - np.log1p(z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -112,33 +113,85 @@ def cauchy_logpdf(x, scale):
 #          + ln integral exp(-c (e^s - 1 - s) - x*^2 (e^s - 1)^2 / 2) ds,
 #
 # both subtracted terms >= 0 and zero at s = 0, so nothing cancels for any
-# sign or size of a, and the trapezoid converges geometrically (Trefethen &
-# Weideman, SIAM Review 56(3), 2014).  The x*^2 e^{2s} term confines
-# analyticity to |Im s| < pi/4, so nodes must stay at most 0.12 apart;
-# 0.6 sigma exceeds that only where c + x*^2 < 25, and there the window
-# at x* -> 0 sets a node count that keeps every spacing below 0.11.
+# sign or size of a.  The peak's curvature width is sigma = 1 / sqrt(c + x*^2).
+#
+# Every size below follows from one target _EPS for the relative error in I.
+# The trapezoid converges geometrically (Trefethen & Weideman, SIAM Review
+# 56(3), 2014): with node spacing h, shifting the contour to Im s = y bounds
+# the error by about 2 exp(-2 pi y / h) times the growth of |integrand| there.
+# - Narrow peaks are near-Gaussian: the best shift, y = 2 pi sigma^2 / h, gives
+#   2 exp(-2 pi^2 sigma^2 / h^2), which is _EPS at h = _SPACING sigma.
+# - The x*^2 e^{2s} term keeps the integrand decaying only in |Im s| < pi/4,
+#   so wide peaks cannot shift that far.  At y = pi/6 the term still decays at
+#   half its rate, and |integrand| grows at most e^{1/4} at sigma = 1, the
+#   widest peak (c >= 1).  So 2 exp(-pi^2 / (3h)) = _EPS sets the cap _CAP =
+#   0.116, which governs wherever c + x*^2 < (_SPACING / _CAP)^2 = 52.
+# Both window ends lie _TAIL = ln(1/_EPS) + ln 10 nats below the peak: the
+# tail beyond a left end at s < -1 holds at most e^{-_TAIL} / ((1 - 1/e) c)
+# of the peak, below 8 e^{-_TAIL} of I (c >= 1, x*^2 < 2 _TAIL / (1 - 1/e)^2).
+# The peak's skew makes the error at a full _SPACING sigma step exceed the
+# Gaussian estimate where sigma > ~0.05; the node count is the worst case over
+# modes, so those modes get finer steps, and the tests check the kernel
+# against itself at half the spacing and a wider window.
 
-_DROP = 60.0  # both window ends lie at least this many nats below the peak
-_RIGHT = math.sqrt(2.0 * _DROP)  # right end, in curvature widths sigma = 1 / sqrt(c + x*^2)
+_EPS = 1e-12  # target relative error in I(a)
+_TAIL = math.log(10.0 / _EPS)  # nats below the peak at both window ends
+_RIGHT = math.sqrt(2.0 * _TAIL)  # right end, in sigma
 _LEFT = math.e * _RIGHT  # left end in sigma, while that stays within s >= -1
-_STEP = 0.6  # node spacing at most _STEP sigma
+_SPACING = math.pi * math.sqrt(2.0 / math.log(2.0 / _EPS))  # node spacing in sigma
+_CAP = math.pi ** 2 / (3.0 * math.log(2.0 / _EPS))  # node spacing cap in s
+_Q = 1.0 - 1.0 / math.e  # below s = -1 the log integrand falls at least _Q c per unit s
+
+
+def _window(c, x2):
+    """Left and right trapezoid ends in s for modes with x*^2 = x2.
+
+    For -1 <= s <= 0 the log integrand falls at least e^-2 (c + x*^2) s^2 / 2,
+    which reaches _TAIL at s = -_LEFT sigma.  Below s = -1 it falls at least
+    _Q^2 x*^2 / 2 + c max(-1 - s, 1/e + _Q (-1 - s)), which reaches _TAIL at
+    s = -1 - w.  w = 0 wherever _LEFT sigma <= 1, so the left end is
+    continuous across that switch.
+    """
+    sigma = 1.0 / np.sqrt(c + x2)
+    r = _TAIL - _Q * _Q * x2 / 2.0
+    w = np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
+    return -np.minimum(_LEFT * sigma, 1.0) - w, _RIGHT * sigma
+
+
+def _worst_modes(c):
+    """The x*^2 whose windows need the most nodes at c = df + 1.
+
+    Where c + x*^2 >= _LEFT^2 the window spans (1 + e) _RIGHT sigma, the same
+    number of _SPACING sigma steps for every mode.  Below, the step count
+    (_RIGHT + (1 + w) / sigma) / _SPACING is concave on each linear piece of
+    w: it peaks at a piece's stationary point or at a piece end.  Capped
+    steps peak at x* -> 0.
+    """
+    q2 = _Q * _Q
+    u_switch = max(_LEFT * _LEFT - c, 0.0)  # stands for every mode beyond it
+    return [min(max(u, 0.0), u_switch) for u in (
+        0.0,
+        2.0 * (c * (1.0 - q2) + _TAIL) / (3.0 * q2),  # stationary, w = r / c
+        2.0 * (c / math.e + (_TAIL - c / math.e) / _Q) / (3.0 * _Q),  # w = (r - c/e) / (_Q c)
+        2.0 * (_TAIL - c) / q2,  # piece ends: r = c and r = c / e
+        2.0 * (_TAIL - c / math.e) / q2,
+        u_switch)]
 
 
 def _node_count(c):
     """Trapezoid nodes at c = df + 1: the worst case over every mode x*.
 
-    Where c + x*^2 >= _LEFT^2 the window spans (1 + e) _RIGHT sigma; below,
-    the span in steps is largest at x* -> 0, at its interior peak
-    x*^2 = (60 + 0.62 c) / 0.57, or just short of the switch, where the left
-    end jumps.
+    _window's spans at the _worst_modes, in scalar arithmetic: on six modes,
+    numpy's per-call overhead costs about as much as the trapezoid on a
+    hundred points.
     """
-    u_switch = _LEFT * _LEFT - c
-    steps = (1.0 + math.e) * _RIGHT / _STEP
-    if u_switch > 0.0:
-        for u in (0.0, min((_DROP + 0.62 * c) / 0.57, u_switch), u_switch):
-            sigma = 1.0 / math.sqrt(c + u)
-            span = _RIGHT * sigma + 1.0 + max(_DROP - 0.19 * u, 0.0) / c
-            steps = max(steps, span / (_STEP * sigma))
+    steps = 0.0
+    for u in set(_worst_modes(c)):
+        sigma = 1.0 / math.sqrt(c + u)
+        r = _TAIL - _Q * _Q * u / 2.0
+        w = max(min(r, (r - c / math.e) / _Q), 0.0) / c
+        span = _RIGHT * sigma + min(_LEFT * sigma, 1.0) + w
+        steps = max(steps, span / min(_SPACING * sigma, _CAP))
     return math.ceil(steps) + 1
 
 
@@ -149,13 +202,9 @@ def _log_hh(df, a):
     big = (np.abs(a) + np.hypot(a, 2.0 * math.sqrt(c))) / 2.0
     x_star = np.where(a >= 0.0, big, c / big)
     x2 = x_star * x_star
-    sigma = 1.0 / np.sqrt(c + x2)
-    # for s >= -1 the log integrand falls at least e^-2 (c + x*^2) s^2 / 2; for
-    # s < -1 at least c (-1 - s) + 0.19 x*^2
-    left = np.where(_LEFT * sigma <= 1.0, -_LEFT * sigma,
-                    -1.0 - np.maximum(_DROP - 0.19 * x2, 0.0) / c)
+    left, right = _window(c, x2)
     n = _node_count(c)
-    step = (_RIGHT * sigma - left) / (n - 1)
+    step = (right - left) / (n - 1)
     s = left[:, None] + step[:, None] * np.arange(n)
     e = np.expm1(s)
     h = -c * (e - s) - x2[:, None] * (e * e) / 2.0
@@ -293,8 +342,9 @@ def student_t_quantile(p, df):
     """Quantile of Student's t: bracketed Halley steps on the upper tail from Hill's start.
 
     The tail r = min(p, 1 - p) is solved as S(x) = CDF(-x) = r, so p keeps its
-    relative accuracy far into the lower tail.  DomainError names what it
-    cannot resolve: quantiles beyond 1e150 and steps unconverged after 100.
+    relative accuracy far into the lower tail.  It stops when a step or the
+    bracket falls below 1e-13 relative.  DomainError names what it cannot
+    resolve: quantiles beyond 1e150 and steps unconverged after 100.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("student_t_quantile requires 0 < p < 1")
@@ -322,6 +372,8 @@ def student_t_quantile(p, df):
         step = x + u / (halley if halley > 0.5 else 1.0)
         if abs(step - x) <= 1e-13 * step:
             x = step
+            break
+        if hi - lo <= 1e-13 * hi < math.inf:  # steps below the CDF's rounding noise wander
             break
         if not lo < step < hi:  # outside the bracket: bisect, or widen it
             step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x

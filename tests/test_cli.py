@@ -340,8 +340,48 @@ class TestValidationAndExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_log_bf_exits_3(self, capsys):
+        # a prior this narrow integrates to zero mass around the likelihood
+        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
+                            "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1",
+                            "--prior-scale", "1e-300"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "log Bayes factor is not finite" in captured.err and captured.out == ""
+
+    def test_huge_sds_pool_without_overflow(self, capsys):
+        small = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5"]
+        assert parse_and_run([*small, "--sd-x", "1", "--sd-y", "2", "--format", "json"]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        big = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5e200"]
+        assert parse_and_run([*big, "--sd-x", "1e200", "--sd-y", "2e200", "--format", "json"]) == 0
+        scaled = json.loads(capsys.readouterr().out)
+        assert scaled["log_bf"] == pytest.approx(unit["log_bf"], rel=1e-12)
+
+    def test_infinite_t_statistic_names_the_means(self, capsys):
+        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "-1e308",
+                            "--mean-y", "1e308", "--sd-x", "1", "--sd-y", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "mean_x = -1e+308, mean_y = 1e+308" in captured.err and captured.out == ""
+
+    def test_ci_level_next_to_one(self, capsys):
+        # (1 + level) / 2 rounds to 1.0 here; the tail (1 - level) / 2 does not
+        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
+                            "--mean-y", "0.5", "--ci-margin", "4",
+                            "--ci-level", "0.9999999999999999", "--format", "json"])
+        assert rc == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["log_bf"])
+
 
 class TestCurves:
+    def test_unwritable_curves_path_exits_2(self, tmp_path, capsys):
+        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
+                            "--mean-y", "0.4", "--sd-x", "1", "--sd-y", "1",
+                            "--curves", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
     def test_curves_file_written(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"
         rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",

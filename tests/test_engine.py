@@ -454,9 +454,12 @@ class TestPriorSweep:
         assert sweep.entries[1].error is not None
         assert sweep.min_log_bf == sweep.entries[0].result.log_bf
         # input that cannot be reduced fails at every scale, not the sweep
-        degenerate = SummaryMoments(10, 10, 0.0, 0.1, 1e-200, 1e-200)
+        degenerate = SummaryMoments(10, 10, -1e308, 1e308, 1.0, 1.0)
+        with pytest.raises(ValidationError) as exc:
+            derive_stats(degenerate)
+        assert "t statistic" in str(exc.value)
         sweep = prior_sweep(degenerate, spec, [0.5, 1.0])
-        assert [e.error for e in sweep.entries] == ["degenerate pooled variance"] * 2
+        assert [e.error for e in sweep.entries] == [str(exc.value)] * 2
         assert sweep.min_log_bf is None
 
     def test_unconverged_scale_is_isolated(self, monkeypatch):

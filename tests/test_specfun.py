@@ -178,10 +178,12 @@ class TestNoncentralT:
 
         Besides fixed a, the targets hold 1e-6 either side of a_b, where the
         integrand's mode in v, x (x - a) = df, lies W = sqrt(120) + 12
-        curvature widths from v = 0, and three modes x of the trapezoid's
-        equation x (x - a) = c, c = df + 1, each taken as a = x - c / x:
-        where the node bound peaks, x^2 = (60 + 0.62 c) / 0.57, and 1e-6
-        either side of the left-end switch c + x^2 = 120 e^2.
+        curvature widths from v = 0, and modes x of the trapezoid's equation
+        x (x - a) = c, c = df + 1, each taken as a = x - c / x: where an
+        earlier window's node bound peaked, x^2 = (60 + 0.62 c) / 0.57, 1e-6
+        either side of its left-end switch c + x^2 = 120 e^2, and the same
+        for the kernel's own window: its worst-case modes, and 1e-6 either
+        side of its switch c + x^2 = _LEFT^2.
         """
         targets = [-1e3, -5.0, 0.0, 1e-300, 0.999e-3, 1.001e-3, 0.5, 10.0, 39.99, 40.01,
                    300.0, 1e3]
@@ -195,7 +197,7 @@ class TestNoncentralT:
         if c < 120.0 * math.e ** 2:
             x_switch = math.sqrt(120.0 * math.e ** 2 - c)
             modes += [x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6)]
-        targets += [x - c / x for x in modes]
+        targets += [x - c / x for x in modes + _kernel_modes(c)]
         for t in (2.0, 25.0):
             for a in targets:
                 ncp = a * math.sqrt(t * t + df) / t
@@ -217,16 +219,42 @@ class TestNoncentralT:
         n = work(396.0, [0.5])
         assert work(396.0, [39.0]) == n
         assert work(396.0, [0.5, 39.0]) == 2 * n
-        for df in (38.0, 396.0, 2e4, 2e6):
-            assert work(df, [0.5]) <= 71, df
-        assert work(0.5, [0.5]) <= 500
+        for df in (38.0, 396.0, 580.0, 885.0, 2e4, 2e6):
+            assert work(df, [0.5]) == 36, df
+        assert work(0.5, [0.5]) <= 236
+
+    @pytest.mark.parametrize("df", [1e-3, 0.5, 3.0, 10.0, 20.0, 38.0, 100.0, 396.0, 700.0, 2e6])
+    def test_node_count_is_the_worst_case_over_modes(self, df):
+        c = df + 1.0
+        u = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
+        left, right = specfun._window(c, u)
+        sigma = 1.0 / np.sqrt(c + u)
+        most = np.max((right - left) / np.minimum(specfun._SPACING * sigma, specfun._CAP))
+        assert specfun._node_count(c) >= math.ceil(most) + 1
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 20.0, 38.0, 396.0, 700.0, 2e4, 2e6])
+    def test_trapezoid_converged_at_its_spacing(self, df, monkeypatch):
+        """ln I agrees with itself at half the node spacing and a window 10 nats
+        wider, within the kernel's error target relative to max(1, |ln I|)."""
+        c = df + 1.0
+        a = np.concatenate([-np.geomspace(1e-3, 1e4, 300), [0.0], np.geomspace(1e-3, 1e4, 300),
+                            [x - c / x for x in _kernel_modes(c)]])
+        coarse = specfun._log_hh(df, a)
+        tail = specfun._TAIL + 10.0
+        for name, value in (("_TAIL", tail), ("_RIGHT", math.sqrt(2.0 * tail)),
+                            ("_LEFT", math.e * math.sqrt(2.0 * tail)),
+                            ("_SPACING", specfun._SPACING / 2.0), ("_CAP", specfun._CAP / 2.0)):
+            monkeypatch.setattr(specfun, name, value)
+        fine = specfun._log_hh(df, a)
+        err = np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))
+        assert err.max() <= specfun._EPS, a[err.argmax()]
 
     def test_point_value_does_not_depend_on_its_companions(self):
         # a either side of the left-end switch, where the window's left end
-        # jumps, and a = -1
+        # changes form, and a = -1
         t, df = 2.0, 38.0
         c = df + 1.0
-        x_switch = math.sqrt(120.0 * math.e ** 2 - c)
+        x_switch = math.sqrt(specfun._LEFT ** 2 - c)
         a = [x - c / x for x in (x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6))] + [-1.0]
         ncp = np.array(a) * math.sqrt(t * t + df) / t
         together = noncentral_t_logpdf(t, df, ncp)
@@ -249,6 +277,16 @@ class TestNoncentralT:
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, -2.0, 0.0)
+
+
+def _kernel_modes(c):
+    """Modes x* of the kernel's window at c = df + 1: where its node count
+    peaks, and 1e-6 either side of the switch c + x*^2 = _LEFT^2."""
+    modes = [math.sqrt(u) for u in specfun._worst_modes(c) if u > 0.0]
+    if c < specfun._LEFT ** 2:
+        x_switch = math.sqrt(specfun._LEFT ** 2 - c)
+        modes += [x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6)]
+    return modes
 
 
 def _nct_logpdf_mpmath(t, df, ncp):
@@ -329,6 +367,13 @@ class TestStudentTQuantile:
     @given(st.floats(0.001, 0.999), st.floats(0.5, 2000.0))
     @settings(max_examples=150, deadline=None)
     def test_quantile_inverts_cdf(self, p, df):
+        q = student_t_quantile(p, df)
+        assert abs(student_t_cdf(q, df) - p) <= 1e-12
+
+    def test_stops_at_the_cdfs_rounding_floor(self):
+        # the CDF's ~4e-15 noise here moves Halley steps by ~1e-12, above the
+        # 1e-13 step tolerance, so only the bracket's width can stop them
+        p, df = 0.0015911318339730147, 144.24428907652296
         q = student_t_quantile(p, df)
         assert abs(student_t_cdf(q, df) - p) <= 1e-12
 
