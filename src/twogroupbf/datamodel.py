@@ -56,8 +56,9 @@ class RawGroups:
                 raise ValidationError(f"group {name} needs at least 2 observations")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"group {name} contains non-finite values")
-            if np.var(arr, ddof=1) == 0.0:
-                raise ValidationError(f"group {name} has zero sample variance")
+            with np.errstate(over="ignore"):  # an infinite variance fails later, by name
+                if np.var(arr, ddof=1) == 0.0:
+                    raise ValidationError(f"group {name} has zero sample variance")
 
 
 def _check_group_sizes(n_x, n_y) -> None:
@@ -166,14 +167,15 @@ def sd_from_ci(s: SummaryCi) -> float:
 def _moments_from_raw(raw: RawGroups) -> SummaryMoments:
     x = np.asarray(raw.x, dtype=float)
     y = np.asarray(raw.y, dtype=float)
-    return SummaryMoments(
-        n_x=int(x.size),
-        n_y=int(y.size),
-        mean_x=float(np.mean(x)),
-        mean_y=float(np.mean(y)),
-        sd_x=float(np.std(x, ddof=1)),
-        sd_y=float(np.std(y, ddof=1)),
-    )
+    with np.errstate(over="ignore"):  # SummaryMoments rejects an infinite moment by name
+        return SummaryMoments(
+            n_x=int(x.size),
+            n_y=int(y.size),
+            mean_x=float(np.mean(x)),
+            mean_y=float(np.mean(y)),
+            sd_x=float(np.std(x, ddof=1)),
+            sd_y=float(np.std(y, ddof=1)),
+        )
 
 
 def derive_stats(data: StudyInput) -> DerivedStats:

@@ -214,8 +214,9 @@ _INPUT_MODES = ((RawGroups, "raw"), (SummaryMoments, "summary-moments"), (Summar
 
 def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     """ln of likelihood times prior density, as a function of a 1-D array
-    of delta, with one row per prior scale; the likelihood is evaluated
-    once per delta."""
+    of delta, with one row per prior scale (the likelihood is evaluated
+    once per delta), and the (delta, width) features it has: the
+    likelihood's peak near t / sqrt(n_eff) and the prior spike at 0."""
     sqrt_n = math.sqrt(stats.n_eff)
     column = np.asarray(scales, dtype=float)[:, None]
 
@@ -223,7 +224,9 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
         return (specfun.noncentral_t_logpdf(t, stats.df, delta * sqrt_n)
                 + specfun.cauchy_logpdf(delta, column))
 
-    return joint
+    # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df))
+    peak = (t / sqrt_n, math.hypot(1.0, t / math.sqrt(2.0 * stats.df)) / sqrt_n)
+    return joint, (peak, (0.0, min(scales)))
 
 
 def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
@@ -232,8 +235,8 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
     Proportional to likelihood times prior, normalized over the whole line.
     Broadcasts over ``delta``.
     """
-    joint = _log_joint(stats, stats.t_obs, [prior.scale])
-    (row,) = integrate_log(joint, _WHOLE_LINE)
+    joint, features = _log_joint(stats, stats.t_obs, [prior.scale])
+    (row,) = integrate_log(joint, _WHOLE_LINE, (), features)
     if isinstance(row, QuadratureError):
         raise row
     (log_norm,) = row
@@ -339,8 +342,8 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
     if live:
         t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
         try:
-            rows = integrate_log(_log_joint(stats, t_c, [scales[i] for i in live]),
-                                 hyp.region, cuts=hyp.cuts)
+            joint, features = _log_joint(stats, t_c, [scales[i] for i in live])
+            rows = integrate_log(joint, hyp.region, hyp.cuts, features)
         except QuadratureError as exc:  # the integrand or the cuts fail every scale
             rows = [exc] * len(live)
         input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))

@@ -9,13 +9,13 @@ interesting region integrals can be smaller than 1e-300 in linear scale.
 
 Infinite endpoints are mapped to finite ones by a change of variables
 (x = tan(theta) for a doubly infinite interval, x = a + u/(1-u) and its
-mirror for half-infinite ones).  The transformed log-integrand is scanned
-once on a coarse grid, and the initial panels of each piece are clustered
-geometrically around its scanned maximum so that sharp posterior peaks are
-resolved from the first pass.  The integrand is then called once for all
-initial panels and once per refinement round for all the panels it bisects
-(as SciPy's ``quad_vec`` refines many intervals at a time).  All rows share
-the scan and every panel, and each row converges on its own.
+mirror for half-infinite ones).  The initial panels of each piece cluster
+geometrically around the (x, width) features the caller names, down to each
+feature's width, so that sharp peaks are resolved from the first pass.  The
+integrand is then called once for all initial panels and once per
+refinement round for all the panels it bisects (as SciPy's ``quad_vec``
+refines many intervals at a time).  All rows share every panel, and each
+row converges on its own.
 """
 
 from __future__ import annotations
@@ -89,34 +89,29 @@ _LOG_WK = np.log(np.array([row[1] for row in _GK15]))
 _GAUSS_MASK = np.array([row[2] > 0.0 for row in _GK15])
 _LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))
 
-_SCAN_POINTS = 129
-_SCAN_STEPS = np.arange(float(_SCAN_POINTS))
+_GRAIN = 2.0 ** -44  # narrowest panel with 15 distinct nodes, relative to its place in u
 _NEG_INF = float("-inf")
 
 
 def _make_transform(region: Interval):
     """Map region to a finite (lo, hi): the log-integrand there, with its
-    log-Jacobian term, and the map from x to the new variable."""
+    log-Jacobian term, the map from x to the new variable u, and du/dx as a
+    function of u."""
     lo_inf = math.isinf(region.lower)
     hi_inf = math.isinf(region.upper)
     if lo_inf and hi_inf:
         def g(theta, f):
             x = np.tan(theta)
             return f(x) + np.log1p(x * x)
-        return g, math.atan, (-math.pi / 2.0, math.pi / 2.0)
-    if hi_inf:
-        a = region.lower
+        return g, math.atan, (lambda u: math.cos(u) ** 2), (-math.pi / 2.0, math.pi / 2.0)
+    if lo_inf or hi_inf:  # x = a + u/(1-u) from the finite end a, or its mirror
+        a, s = (region.upper, -1.0) if lo_inf else (region.lower, 1.0)
 
         def g(u, f):
-            return f(a + u / (1.0 - u)) - 2.0 * np.log1p(-u)
-        return g, (lambda x: (x - a) / (1.0 + (x - a))), (0.0, 1.0)
-    if lo_inf:
-        b = region.upper
-
-        def g(u, f):
-            return f(b - u / (1.0 - u)) - 2.0 * np.log1p(-u)
-        return g, (lambda x: (b - x) / (1.0 + (b - x))), (0.0, 1.0)
-    return (lambda x, f: f(x)), (lambda x: x), (region.lower, region.upper)
+            return f(a + s * u / (1.0 - u)) - 2.0 * np.log1p(-u)
+        return (g, (lambda x: s * (x - a) / (1.0 + s * (x - a))), (lambda u: (1.0 - u) ** 2),
+                (0.0, 1.0))
+    return (lambda x, f: f(x)), (lambda x: x), (lambda u: 1.0), (region.lower, region.upper)
 
 
 def _panels(g, f, lo, hi):
@@ -142,27 +137,23 @@ def _panels(g, f, lo, hi):
         return np.log(sum_k) + log_scale, np.log(np.abs(sum_k - sum_g)) + log_scale, top
 
 
-def _initial_breakpoints(grid, vals, lo: float, hi: float):
-    """Breakpoints of (lo, hi) clustered around the maximum of the rows'
-    envelope scanned inside it, and each row's scanned maximum there.
-
-    ``vals`` holds one scan row per integrand with its non-finite values set
-    to -inf; a row maximum of -inf means no finite value fell inside.
-    """
-    inside = np.where((grid > lo) & (grid < hi), vals, _NEG_INF)
-    peak = int(np.argmax(inside))  # the first maximum over all rows
-    mode = float(grid[peak % grid.size]) if inside.flat[peak] > _NEG_INF else (lo + hi) / 2.0
-
+def _initial_breakpoints(seeds, lo: float, hi: float) -> list:
+    """Breakpoints of (lo, hi) clustered geometrically around each (u,
+    width) seed, clipped into it: at u +- span/2, span/4, ... down to the
+    seed's width there, but not below the grain of u."""
     span = hi - lo
     points = {lo, hi}
-    width = span / 2.0
-    while width > span / 512.0:
-        for p in (mode - width, mode + width):
-            if lo < p < hi:
-                points.add(p)
-        width /= 2.0
-    points.add(mode)
-    return sorted(points), inside.max(axis=1)
+    for u, width in seeds:
+        mode = min(max(u, lo), hi)
+        # a peak clipped to an edge falls off there over width^2 / distance
+        far = abs(u - mode)
+        stop = max(width * width / far if far > width else width, _GRAIN * abs(mode))
+        step = span / 2.0
+        while step > stop:
+            points.update(p for p in (mode - step, mode + step) if lo < p < hi)
+            step /= 2.0
+        points.add(mode)  # at an end of (lo, hi) it is there already
+    return sorted(points)
 
 
 def _piece_logsumexp(owner, pieces: int, *arrays):
@@ -187,7 +178,8 @@ def _piece_logsumexp(owner, pieces: int, *arrays):
     return out
 
 
-def integrate_log(f, region: Interval, cuts: Sequence[float] = ()) -> list:
+def integrate_log(f, region: Interval, cuts: Sequence[float],
+                  features: Sequence[tuple]) -> list:
     """ln of the integral of exp(f(x)) dx over each piece of ``region``,
     for each row of ``f``.
 
@@ -196,7 +188,10 @@ def integrate_log(f, region: Interval, cuts: Sequence[float] = ()) -> list:
     that share every panel (as SciPy's ``quad_vec`` does for vector-valued
     integrands); a 1-D return is one row.  Increasing interior ``cuts``
     split the region into pieces, integrated in one pass with a breakpoint
-    forced at every cut (as QUADPACK's QAGP does).
+    forced at every cut (as QUADPACK's QAGP does).  Each piece starts from
+    panels clustered around every (x, width) pair in ``features``, clipped
+    into it: the peaks and spikes of the rows.  A structure no node sees
+    can be missed; without features, each piece starts as one panel.
 
     The result holds one entry per row: a list of that row's log integrals
     per piece, in increasing x (one entry when there are no cuts), or, for
@@ -204,17 +199,18 @@ def integrate_log(f, region: Interval, cuts: Sequence[float] = ()) -> list:
     each unconverged piece, with the best estimate for the whole region
     attached.  Each (row, piece) pair converges on its own: when its summed
     panel error is below ``_REL_TOL`` relative to its integral, or below
-    ``_ABS_TOL_LOG`` on the linear scale shifted by its own maximum, so a
-    far-tail piece keeps its relative accuracy.  A refinement round bisects
-    the union of the panels the unconverged pairs pick, and one bisection
-    serves every row, for at most ``_MAX_SUBDIVISIONS`` bisections in all.
-    Only failures that hit every row raise :class:`QuadratureError`: a NaN
-    or +inf integrand value, or cuts that cannot be told apart.
+    ``_ABS_TOL_LOG`` on the linear scale shifted by its largest value on the
+    initial panels' nodes, so a far-tail piece keeps its relative accuracy.
+    A refinement round bisects the union of the panels the unconverged
+    pairs pick, and one bisection serves every row, for at most
+    ``_MAX_SUBDIVISIONS`` bisections in all.  Only failures that hit every
+    row raise :class:`QuadratureError`: a NaN or +inf integrand value, or
+    cuts that cannot be told apart.
     """
     cuts = [float(c) for c in cuts]
     if any(not region.lower < c < region.upper for c in cuts) or cuts != sorted(set(cuts)):
         raise ValueError("cuts must increase strictly inside the region")
-    g, to_u, (lo, hi) = _make_transform(region)
+    g, to_u, slope, (lo, hi) = _make_transform(region)
     edges = sorted([lo, hi, *(to_u(c) for c in cuts)])
     if any(a >= b for a, b in zip(edges[:-1], edges[1:])):
         raise QuadratureError(f"cuts {cuts} cannot be told apart from each other or from "
@@ -222,28 +218,22 @@ def integrate_log(f, region: Interval, cuts: Sequence[float] = ()) -> list:
     flip = math.isinf(region.lower) and math.isfinite(region.upper)  # (-inf, b) runs against x
     pieces = len(edges) - 1
 
-    # one scan of the whole region; each piece's breakpoints cluster around
-    # the maximum of the rows' envelope inside it, and all initial panels
-    # go in one call
-    inset = (hi - lo) / (_SCAN_POINTS + 1)
-    start, stop = lo + inset, hi - inset
-    grid = _SCAN_STEPS * ((stop - start) / (_SCAN_POINTS - 1)) + start  # np.linspace, cheaper
-    grid[-1] = stop
-    vals = np.asarray(g(grid, f), dtype=float).reshape(-1, grid.size)
-    vals = np.where(np.isfinite(vals), vals, _NEG_INF)
-    seeds = [_initial_breakpoints(grid, vals, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    owner = np.repeat(np.arange(pieces), [len(br) - 1 for br, _ in seeds])
-    lo_p = np.concatenate([br[:-1] for br, _ in seeds])
-    hi_p = np.concatenate([br[1:] for br, _ in seeds])
+    # each feature in u, clipped into the region first, where the map is
+    # monotone; all initial panels go in one call
+    seeds = []
+    for x, width in features:
+        u = to_u(min(max(float(x), region.lower), region.upper))
+        seeds.append((u, float(width) * slope(u)))
+    breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    counts = [len(br) - 1 for br in breaks]
+    owner = np.repeat(np.arange(pieces), counts)
+    lo_p = np.concatenate([br[:-1] for br in breaks])
+    hi_p = np.concatenate([br[1:] for br in breaks])
     log_k, err, top = _panels(g, f, lo_p, hi_p)
 
     # each (row, piece) pair's log shift, which makes the linear-scale
-    # floor meaningful: its scanned maximum, else the maximum of its own nodes
-    shifts = np.array([s for _, s in seeds]).T
-    if shifts.min() == _NEG_INF:
-        unscanned = shifts == _NEG_INF
-        node_max = np.array([top[:, owner == k].max(axis=1) for k in range(pieces)]).T
-        shifts[unscanned] = node_max[unscanned]
+    # floor meaningful: the maximum over its initial panels' nodes
+    shifts = np.maximum.reduceat(top, np.cumsum([0, *counts[:-1]]), axis=1)
 
     log_abs_floor = math.log(_ABS_TOL_LOG)
     log_rel = math.log(_REL_TOL)

@@ -66,11 +66,12 @@ def central_t_logpdf(t, df):
     if df <= 0.0 or math.isnan(df):
         raise DomainError("central_t_logpdf requires df > 0")
     t = np.asarray(t, dtype=float)
-    return (
-        _log_gamma_half_ratio(df / 2.0)
-        - 0.5 * (math.log(df) + LN_PI)
-        - ((df + 1.0) / 2.0) * np.log1p(t * t / df)
-    )
+    with np.errstate(over="ignore"):  # t^2 = inf: a density of zero in any scale
+        return (
+            _log_gamma_half_ratio(df / 2.0)
+            - 0.5 * (math.log(df) + LN_PI)
+            - ((df + 1.0) / 2.0) * np.log1p(t * t / df)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +236,11 @@ def noncentral_t_logpdf(t, df, ncp):
     for s in range(0, t_flat.size, _EVAL_CHUNK):
         tt = t_flat[s:s + _EVAL_CHUNK]
         nn = n_flat[s:s + _EVAL_CHUNK]
-        big_a = tt * tt + df
         with np.errstate(over="ignore", invalid="ignore"):
+            big_a = tt * tt + df
             gauss = nn * nn * df / (2.0 * big_a)
         # beyond the overflow horizon the density is zero in any scale
-        ok = np.isfinite(gauss) & np.isfinite(tt)
+        ok = np.isfinite(gauss) & np.isfinite(big_a)
         if ok.any():
             a = nn[ok] * tt[ok] / np.sqrt(big_a[ok])
             out[s:s + _EVAL_CHUNK][ok] = (log_k - gauss[ok] + _log_hh(df, a)

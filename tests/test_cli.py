@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twogroupbf
 from twogroupbf.cli import parse_and_run, read_raw_csv
 from twogroupbf.datamodel import SummaryCi, derive_stats
 from twogroupbf.engine import CauchyPrior, TestSpec, get_bf, infer_bf, super_bf
@@ -15,6 +20,10 @@ INFER_ARGS = [
     "--ci-margin", "0.19", "--ci-level", "0.95", "--ni-margin", "1",
     "--direction", "low",
 ]
+
+# t = 2e300, past the point where t^2 overflows
+TINY_CI_MARGIN = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
+                  "--ci-margin", "1e-300"]
 
 
 class TestInferInvocation:
@@ -141,6 +150,14 @@ class TestSuperInvocation:
                             "--prior-scale", "0.5"])
         assert rc == 0
         assert "BF10 (superiority) = 51.58" in capsys.readouterr().out
+
+    def test_tiny_prior_scale_tends_to_the_point_null(self, capsys):
+        # a prior spike of width 1e-10 must still be seen by the quadrature
+        rc = parse_and_run(["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0",
+                            "--mean-y", "1", "--sd-x", "1", "--sd-y", "1",
+                            "--prior-scale", "1e-10"])
+        assert rc == 0
+        assert "BF10 (superiority) = 1.00" in capsys.readouterr().out
 
 
     def test_bayes_factor_beyond_float_range(self, capsys):
@@ -341,13 +358,26 @@ class TestValidationAndExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_non_finite_log_bf_exits_3(self, capsys):
-        # a prior this narrow integrates to zero mass around the likelihood
-        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
-                            "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1",
-                            "--prior-scale", "1e-300"])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert "log Bayes factor is not finite" in captured.err and captured.out == ""
+        # t = 2e300: the likelihood is zero in any scale under both hypotheses
+        for alternative in ("two_sided", "one_sided"):
+            rc = parse_and_run([*TINY_CI_MARGIN, "--alternative", alternative])
+            captured = capsys.readouterr()
+            assert rc == 3
+            assert "log Bayes factor is not finite" in captured.err and captured.out == ""
+
+    def test_overflowing_inputs_print_only_their_error_line(self, tmp_path):
+        # numpy's overflow warnings would reach a user's stderr ahead of the
+        # error; a fresh interpreter shows what the user sees
+        fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+        fx.write_text("1e200\n-1e200\n3e200\n")
+        fy.write_text("2e200\n-1e200\n5e200\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
+        for args, status in ((TINY_CI_MARGIN, 3),
+                             (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2)):
+            proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == status
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     def test_huge_sds_pool_without_overflow(self, capsys):
         small = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5"]

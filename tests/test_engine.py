@@ -32,13 +32,19 @@ STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
 STUDY_47 = SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95)
 
 
+def _peaks(stats, prior):
+    """The likelihood's peak and the prior spike, as quadrature features."""
+    sqrt_n = math.sqrt(stats.n_eff)
+    return [(stats.t_obs / sqrt_n, 1.0 / sqrt_n), (0.0, prior.scale)]
+
+
 class TestPosteriorDensity:
     def test_normalizes_over_full_line(self):
         stats = derive_stats(STUDY_51)
         prior = CauchyPrior(scale=0.5)
         (total,), = integrate_log(
             lambda d: posterior_log_density(d, stats, prior),
-            Interval(-math.inf, math.inf),
+            Interval(-math.inf, math.inf), (), _peaks(stats, prior),
         )
         assert total == pytest.approx(0.0, abs=1e-8)
 
@@ -125,6 +131,39 @@ class TestSuperiority:
             super_bf(STUDY_51, TestSpec.non_inferiority(1.0))
 
 
+class TestTinyPriorScale:
+    # n 10/10, d = 1: as the prior scale s shrinks, H1 closes in on the
+    # point null and ln BF10 on 0, along a law fixed by the likelihood at 0;
+    # a prior spike narrower than the quadrature's panels shows as a jump
+    DATA = SummaryMoments(10, 10, 0.0, 1.0, 1.0, 1.0)
+
+    def _log_bf(self, alternative, scale):
+        return super_bf(self.DATA, TestSpec.superiority(alternative=alternative), scale).log_bf
+
+    def test_two_sided_log_bf_is_linear_in_the_scale(self):
+        # the slope of ln L at 0 cancels over the symmetric prior
+        ratios = [self._log_bf("two_sided", s) / s for s in (1e-4, 1e-6, 1e-8, 1e-10)]
+        assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-3)
+
+    def test_one_sided_log_bf_grows_like_scale_log_scale(self):
+        # over the half-Cauchy the slope a of ln L at 0 survives:
+        # ln BF10 ~ s (2a/pi) ln(1/s) + c s, so ln BF10 / s steps by
+        # (2a/pi) ln 100 per factor of 100 in s.  For a noncentral t,
+        # a = sqrt(n_eff) t / sqrt(t^2 + df) sqrt(2) Gamma(df/2 + 1) / Gamma((df + 1)/2)
+        stats = derive_stats(self.DATA)
+        t, df = stats.t_obs, stats.df
+        a = (math.sqrt(stats.n_eff) * t / math.sqrt(t * t + df) * math.sqrt(2.0)
+             * math.exp(math.lgamma(df / 2.0 + 1.0) - math.lgamma((df + 1.0) / 2.0)))
+        ratios = [self._log_bf("one_sided", s) / s for s in (1e-6, 1e-8, 1e-10)]
+        steps = np.diff(ratios)
+        assert steps == pytest.approx([2.0 * a / math.pi * math.log(100.0)] * 2, rel=1e-3)
+
+    @pytest.mark.parametrize("alternative", ["two_sided", "one_sided"])
+    def test_vanishing_scale_gives_unit_bf(self, alternative):
+        for scale in (1e-20, 1e-100, 1e-300):
+            assert abs(self._log_bf(alternative, scale)) <= 1e-7
+
+
 class TestNonInferiority:
     def test_zero_margin_prior_odds_are_even(self):
         assert CauchyPrior().mass(0.0, math.inf) == 0.5
@@ -133,12 +172,10 @@ class TestNonInferiority:
         # with even prior odds the BF is the posterior odds at zero
         stats = derive_stats(data)
         prior = CauchyPrior()
-        (above,), = integrate_log(
-            lambda d: posterior_log_density(d, stats, prior), Interval(0.0, math.inf)
-        )
-        (below,), = integrate_log(
-            lambda d: posterior_log_density(d, stats, prior), Interval(-math.inf, 0.0)
-        )
+        (above,), = integrate_log(lambda d: posterior_log_density(d, stats, prior),
+                                  Interval(0.0, math.inf), (), _peaks(stats, prior))
+        (below,), = integrate_log(lambda d: posterior_log_density(d, stats, prior),
+                                  Interval(-math.inf, 0.0), (), _peaks(stats, prior))
         assert res.log_bf == pytest.approx(above - below, abs=1e-8)
 
     def test_small_instance_against_grid_oracle(self):
@@ -169,8 +206,8 @@ class TestNonInferiority:
         assert res_std.margin_unstd == pytest.approx(0.5 * stats.sd_pooled, rel=1e-12)
 
     def test_reference_study_batches_its_density_calls(self, monkeypatch):
-        # one call for the scan, one for the initial panels, and one per
-        # refinement round; a call per GK15 panel would make ~30
+        # one call for the initial panels and one per refinement round; a
+        # call per GK15 panel would make ~30
         from twogroupbf import specfun
 
         calls = []
@@ -220,8 +257,8 @@ class TestEquivalence:
         def joint(d):
             return noncentral_t_logpdf(stats.t_obs, stats.df, d * sqrt_n) + prior.logpdf(d)
 
-        (inside,), = integrate_log(joint, Interval(-50.0, 50.0))
-        (full,), = integrate_log(joint, Interval(-math.inf, math.inf))
+        (inside,), = integrate_log(joint, Interval(-50.0, 50.0), (), _peaks(stats, prior))
+        (full,), = integrate_log(joint, Interval(-math.inf, math.inf), (), _peaks(stats, prior))
         assert inside == pytest.approx(full, abs=1e-3)
         # the posterior-to-prior ratio for the inside region approaches
         # 1/p_in, i.e. the interval has absorbed all posterior mass
@@ -325,12 +362,19 @@ class TestPriorMass:
         prior = CauchyPrior(scale)
         sqrt_n = math.sqrt(stats.n_eff)
 
-        def joint(d):
-            return (noncentral_t_logpdf(stats.t_obs, stats.df, np.asarray(d) * sqrt_n)
-                    + prior.logpdf(d))
+        def log_mass(y):
+            # a dense trapezoid in y = ln|delta| on the negative side, where
+            # the likelihood peaks at the margin with a relative width ~0.07;
+            # the positive side is thousands of nats down
+            delta = -np.exp(y)
+            v = (noncentral_t_logpdf(stats.t_obs, stats.df, delta * sqrt_n)
+                 + prior.logpdf(delta) + y)
+            top = v.max()
+            return top + math.log(np.trapezoid(np.exp(v - top), y))
 
-        (log_below, log_above), = integrate_log(joint, Interval(-math.inf, math.inf),
-                                                cuts=(-1e6,))
+        cut = math.log(1e6)
+        log_below = log_mass(np.linspace(cut, cut + 8.0, 1_000_001))
+        log_above = log_mass(np.linspace(cut - 8.0, cut, 1_000_001))
         with mpmath.workdps(50):
             tail = mpmath.atan(mpmath.mpf(scale) / mpmath.mpf(1e6)) / mpmath.pi
             log_prior_odds = float(mpmath.log((1 - tail) / tail))
@@ -465,12 +509,12 @@ class TestPriorSweep:
     def test_unconverged_scale_is_isolated(self, monkeypatch):
         # an integrable singularity in the last scale's row, under a capped
         # budget, leaves only that scale unconverged
-        def singular(f, region, cuts=()):
+        def singular(f, region, cuts, features):
             def g(x):
                 out = f(x)
                 out[-1] -= 0.9 * np.log(np.abs(x - 0.3))
                 return out
-            return integrate_log(g, region, cuts)
+            return integrate_log(g, region, cuts, features)
 
         spec = TestSpec.superiority()
         monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 20)
