@@ -201,11 +201,12 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
     panel error is below ``_REL_TOL`` relative to its integral, or below
     ``_ABS_TOL_LOG`` on the linear scale shifted by its largest value on the
     initial panels' nodes, so a far-tail piece keeps its relative accuracy.
-    A refinement round bisects the union of the panels the unconverged
-    pairs pick, and one bisection serves every row, for at most
-    ``_MAX_SUBDIVISIONS`` bisections in all.  Only failures that hit every
-    row raise :class:`QuadratureError`: a NaN or +inf integrand value, or
-    cuts that cannot be told apart.
+    A refinement round bisects every panel whose error is above an
+    unconverged pair's tolerance over its piece's panel count, for at most
+    ``_MAX_SUBDIVISIONS`` bisections in all (the largest errors relative to
+    their pieces first), and one bisection serves every row.  Only failures
+    that hit every row raise :class:`QuadratureError`: a NaN or +inf
+    integrand value, or cuts that cannot be told apart.
     """
     cuts = [float(c) for c in cuts]
     if any(not region.lower < c < region.upper for c in cuts) or cuts != sorted(set(cuts)):
@@ -246,30 +247,16 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
         converged = not unconverged.any()
         if converged or not budget:
             break
-        # one round: each unconverged (row, piece) pair picks its
-        # largest-error panels until the rest is within its tolerance, and
-        # the union of the picks is bisected, in first-pick order
-        picks = []
-        for k in np.flatnonzero(unconverged.any(axis=0)):
-            rows = unconverged[:, k]
-            idx = np.flatnonzero(owner == k)
-            pair_err = err[rows][:, idx]
-            order = np.argsort(-pair_err, axis=1)
-            # the summed error left after bisecting the i + 1 largest; it
-            # falls along each row, so the count of entries above the
-            # target is where the picks stop
-            rest = np.logaddexp.accumulate(np.sort(pair_err, axis=1), axis=1)[:, -2::-1]
-            counts = (rest > target[rows, k:k + 1]).sum(axis=1) + 1
-            chosen = [idx[o[:c]] for o, c in zip(order, counts)]
-            if len(chosen) > 1:  # rows of one piece share panels: keep first picks
-                chosen = np.concatenate(chosen)
-                chosen = [chosen[np.sort(np.unique(chosen, return_index=True)[1])]]
-            picks += chosen
-        pick = np.concatenate(picks)
-        if pick.size > budget:  # the largest errors relative to their unconverged pieces
-            rel = np.where(unconverged[:, owner[pick]],
-                           err[:, pick] - totals[:, owner[pick]], _NEG_INF).max(axis=0)
-            pick = pick[np.argsort(-rel)[:budget]]
+        # one round bisects every panel whose error is above its even share
+        # of an unconverged (row, piece) pair's target (the local strategy
+        # of Malcolm & Simpson, ACM TOMS 1(2), 1975); that pair's summed
+        # error is above the target, so some panel is.  Past the budget, the
+        # largest errors relative to their pieces go first
+        share = target - np.log(np.bincount(owner, minlength=pieces))
+        over = unconverged[:, owner] & (err > share[:, owner])
+        rel = (err - np.where(over, totals[:, owner], math.inf)).max(axis=0)  # -inf if not over
+        pick = np.flatnonzero(rel > _NEG_INF)
+        pick = pick[np.argsort(-rel[pick], kind="stable")[:budget]]
         a, b = lo_p[pick], hi_p[pick]
         mid = (a + b) / 2.0
         split = (a < mid) & (mid < b)
