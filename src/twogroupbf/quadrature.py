@@ -108,7 +108,8 @@ def _make_transform(region: Interval):
         a, s = (region.upper, -1.0) if lo_inf else (region.lower, 1.0)
 
         def g(u, f):
-            return f(a + s * u / (1.0 - u)) - 2.0 * np.log1p(-u)
+            with np.errstate(divide="ignore", invalid="ignore"):  # u = 1: NaN, which _panels names
+                return f(a + s * u / (1.0 - u)) - 2.0 * np.log1p(-u)
         return (g, (lambda x: s * (x - a) / (1.0 + s * (x - a))), (lambda u: (1.0 - u) ** 2),
                 (0.0, 1.0))
     return (lambda x, f: f(x)), (lambda x: x), (lambda u: 1.0), (region.lower, region.upper)

@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 LN_SQRT_2PI = 0.9189385332046727  # ln sqrt(2*pi)
-LN_2 = 0.6931471805599453
 LN_PI = 1.1447298858494002
 
 
@@ -98,23 +97,29 @@ def cauchy_logpdf(x, scale):
 # Noncentral t density
 # ---------------------------------------------------------------------------
 #
-# The observed two-sample t statistic has the noncentral t law, which this
-# module evaluates through the integral representation over the chi scale
-# variable.  Writing A = t^2 + df and a = ncp * t / sqrt(A):
+# The observed two-sample t statistic has the noncentral t law.  Writing
+# A = t^2 + df and a = ncp * t / sqrt(A), its density is, with K a function
+# of df alone,
 #
 #   f(t; df, ncp) = K * exp(-ncp^2 df / (2A)) * A^(-(df+1)/2) * I(a)
-#   K             = 2 (df/2)^(df/2) / (Gamma(df/2) sqrt(2 pi))
-#   I(a)          = integral_0^inf  v^df exp(-(v - a)^2 / 2)  dv
+#   I(a)          = integral_0^inf  v^df exp(-(v - a)^2 / 2)  dv,
+#
+# evaluated here as the central t density (ncp = 0) times the likelihood
+# ratio R, ln R = -ncp^2 df / (2A) + ln I(a) - ln I(0).
 #
 # I(a) is one trapezoid in s = ln(v / x*), with x* the integrand's mode in
 # ln v: x* (x* - a) = c, c = df + 1.  In s the integrand is entire with a
 # single peak at s = 0,
 #
-#   ln I = c ln x* - c^2 / (2 x*^2)
-#          + ln integral exp(-c (e^s - 1 - s) - x*^2 (e^s - 1)^2 / 2) ds,
+#   ln I(a) = c ln x* - c^2 / (2 x*^2)
+#             + ln integral exp(-c (e^s - 1 - s) - x*^2 (e^s - 1)^2 / 2) ds,
 #
 # both subtracted terms >= 0 and zero at s = 0, so nothing cancels for any
-# sign or size of a.  The peak's curvature width is sigma = 1 / sqrt(c + x*^2).
+# sign or size of a.  With x* = sqrt(c) at a = 0, c / x* = x* - a, and S the
+# trapezoid sum with step h, ln I(a) - ln I(0) = c asinh(a / (2 sqrt(c)))
+# + c a / (2 x*) + ln(S_a h_a) - ln(S_0 h_0): every term is O(t ncp), where
+# terms of size ~df would cancel and leave ~1e-16 df of rounding in ln R.
+# The peak's curvature width is sigma = 1 / sqrt(c + x*^2).
 #
 # Every size below follows from one target _EPS for the relative error in I.
 # The trapezoid converges geometrically (Trefethen & Weideman, SIAM Review
@@ -197,7 +202,8 @@ def _node_count(c):
 
 
 def _log_hh(df, a):
-    """ln I(a) for an array of reduced noncentralities: one trapezoid in ln v per point."""
+    """ln I(a) - (c/2) ln c + c/2 for an array of reduced noncentralities, one
+    trapezoid in ln v per point: a difference of two is ln I(a) - ln I(0)."""
     c = df + 1.0
     # the mode, without cancellation for either sign of a
     big = (np.abs(a) + np.hypot(a, 2.0 * math.sqrt(c))) / 2.0
@@ -210,7 +216,8 @@ def _log_hh(df, a):
     e = np.expm1(s)
     h = -c * (e - s) - x2[:, None] * (e * e) / 2.0
     # both ends are far below the peak, so every node weighs the same
-    return c * np.log(x_star) - (c / x_star) ** 2 / 2.0 + np.log(np.exp(h).sum(axis=1) * step)
+    return (c * np.arcsinh(a / (2.0 * math.sqrt(c))) + c * a / (2.0 * x_star)
+            + np.log(np.exp(h).sum(axis=1) * step))
 
 
 _EVAL_CHUNK = 2048  # points per pass: bounds the (points x trapezoid nodes) work arrays
@@ -219,18 +226,14 @@ _EVAL_CHUNK = 2048  # points per pass: bounds the (points x trapezoid nodes) wor
 def noncentral_t_logpdf(t, df, ncp):
     """ln density of the noncentral t law at ``t``.
 
-    Evaluated entirely in log space via the scale-variable integral
-    representation; see the module notes above.  Broadcasts over ``t`` and
-    ``ncp``.
+    The central t density times the likelihood ratio R, evaluated in log
+    space from the scale-variable integral; see the module notes above.
+    Broadcasts over ``t`` and ``ncp``.
     """
     if df <= 0.0 or math.isnan(df):
         raise DomainError("noncentral_t_logpdf requires df > 0")
     t_arr, ncp_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(ncp, dtype=float))
     t_flat, n_flat = t_arr.ravel(), ncp_arr.ravel()
-
-    # ln K = ln 2 + x ln x - ln Gamma(x) - ln sqrt(2 pi), x = df/2, through Stirling
-    x = df / 2.0
-    log_k = LN_2 + 0.5 * math.log(x) + x - _stirling_rest(x) - 2.0 * LN_SQRT_2PI
 
     out = np.full(t_flat.shape, -math.inf)
     for s in range(0, t_flat.size, _EVAL_CHUNK):
@@ -242,9 +245,10 @@ def noncentral_t_logpdf(t, df, ncp):
         # beyond the overflow horizon the density is zero in any scale
         ok = np.isfinite(gauss) & np.isfinite(big_a)
         if ok.any():
-            a = nn[ok] * tt[ok] / np.sqrt(big_a[ok])
-            out[s:s + _EVAL_CHUNK][ok] = (log_k - gauss[ok] + _log_hh(df, a)
-                                          - (df + 1.0) / 2.0 * np.log(big_a[ok]))
+            # the a = 0 row, ln I(0), rides in the same trapezoid pass
+            log_i = _log_hh(df, np.concatenate(([0.0], nn[ok] * tt[ok] / np.sqrt(big_a[ok]))))
+            out[s:s + _EVAL_CHUNK][ok] = (central_t_logpdf(tt[ok], df) - gauss[ok]
+                                          + (log_i[1:] - log_i[0]))
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 
 from twogroupbf.datamodel import RawGroups, SummaryMoments
@@ -34,3 +35,26 @@ def random_raw(rng, n_lo=4, n_hi=40):
     x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=n_x)
     y = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=n_y)
     return RawGroups(x=list(x), y=list(y))
+
+
+def nct_logpdf_mpmath(t, df, ncp):
+    """ln f(t; df, ncp) from the scale-mixture integral in 30-digit arithmetic.
+
+    The integrand v^df exp(-(v - a)^2 / 2) is divided by its peak value, and
+    breakpoints double away from its mode in curvature units; without the
+    division mpmath's error estimate misses 4.5e-7 of ln I at a = -1e3.
+    """
+    with mpmath.workdps(30):
+        t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
+        big_a = t * t + df
+        a = ncp * t / mpmath.sqrt(big_a)
+        mode = (a + mpmath.sqrt(a * a + 4 * df)) / 2
+        width = 1 / mpmath.sqrt(1 + df / mode ** 2)
+        peak = df * mpmath.log(mode) - (mode - a) ** 2 / 2
+        steps = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
+        pts = [0] + [mode + k * width for k in steps if mode + k * width > 0] + [mpmath.inf]
+        log_i = peak + mpmath.log(mpmath.quad(
+            lambda v: mpmath.exp(df * mpmath.log(v) - (v - a) ** 2 / 2 - peak), pts))
+        return float(mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
+                     - mpmath.log(2 * mpmath.pi) / 2 - ncp ** 2 * df / (2 * big_a)
+                     - (df + 1) / 2 * mpmath.log(big_a) + log_i)

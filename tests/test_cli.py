@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import twogroupbf
+from conftest import nct_logpdf_mpmath
 from twogroupbf.cli import parse_and_run, read_raw_csv
-from twogroupbf.datamodel import SummaryCi, derive_stats
+from twogroupbf.datamodel import SummaryCi, SummaryMoments, derive_stats
 from twogroupbf.engine import CauchyPrior, TestSpec, get_bf, infer_bf, super_bf
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
 from twogroupbf.report import render_text
@@ -173,6 +175,34 @@ class TestSuperInvocation:
         mantissa, exponent = bf_line.split("= ")[1].split("e")
         assert 1.0 <= float(mantissa) < 10.0
         assert int(exponent) == math.floor(payload["log_bf"] / math.log(10.0))
+
+    @pytest.mark.parametrize("n", [100_000_000, 1_000_000_000])
+    def test_megatrial_against_mpmath_likelihood_ratios(self, n, capsys):
+        # t = 22.4 at df ~ 2n: terms of ln f that grow like df, formed on
+        # their own, leave rounding noise above the quadrature's tolerance
+        d = 22.4 * math.sqrt(2.0 / n)
+        assert parse_and_run(["super", "--n-x", str(n), "--n-y", str(n), "--mean-x", "0",
+                              "--mean-y", repr(d), "--sd-x", "1", "--sd-y", "1",
+                              "--format", "json"]) == 0
+        log_bf = json.loads(capsys.readouterr().out)["log_bf"]
+        # BF10 is the prior average of f(t; delta sqrt(n_eff)) / f(t; 0): a
+        # trapezoid in delta, half a likelihood width apart, over the
+        # likelihood's peak +- 10 widths
+        stats = derive_stats(SummaryMoments(n, n, 0.0, d, 1.0, 1.0))
+        sqrt_n = math.sqrt(stats.n_eff)
+        peak = stats.t_obs / sqrt_n
+        width = math.hypot(1.0, stats.t_obs / math.sqrt(2.0 * stats.df)) / sqrt_n
+        log_null = nct_logpdf_mpmath(stats.t_obs, stats.df, 0.0)
+        scale = 1.0 / math.sqrt(2.0)
+        with mpmath.workdps(30):
+            terms = []
+            for k in range(-20, 21):
+                delta = mpmath.mpf(peak + k * width / 2.0)
+                log_r = nct_logpdf_mpmath(stats.t_obs, stats.df, delta * sqrt_n) - log_null
+                prior = scale / (mpmath.pi * (scale ** 2 + delta ** 2))
+                terms.append(mpmath.exp(log_r) * prior / (2 if abs(k) == 20 else 1))
+            ref = float(mpmath.log(mpmath.fsum(terms) * width / 2.0))
+        assert abs(log_bf - ref) <= 1e-9
 
 
 class TestEquivInvocation:
@@ -372,8 +402,12 @@ class TestValidationAndExitCodes:
         fx.write_text("1e200\n-1e200\n3e200\n")
         fy.write_text("2e200\n-1e200\n5e200\n")
         env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
+        # t = 1e16 one-sided puts a half-line map's node at u = 1, x = inf
+        huge_t = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
+                  "--ci-margin", "1e-16", "--alternative", "one_sided"]
         for args, status in ((TINY_CI_MARGIN, 3),
-                             (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2)):
+                             (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2),
+                             (huge_t, 3)):
             proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == status

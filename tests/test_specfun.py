@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nct_logpdf_mpmath
 from twogroupbf import specfun
 from twogroupbf.oracle import nct_logpdf_mixture
 from twogroupbf.specfun import (
@@ -172,7 +173,8 @@ class TestNoncentralT:
         )
         assert noncentral_t_logpdf(t, df, ncp) == pytest.approx(float(ref), rel=1e-11)
 
-    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 38.0, 396.0, 2e4, 2e5, 2e6])
+    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 38.0, 396.0, 2e4, 2e5, 2e6,
+                                    2e7, 2e8, 2e9])
     def test_wide_domain_against_mpmath(self, df):
         """Both signs and every scale of the reduced noncentrality a.
 
@@ -201,12 +203,13 @@ class TestNoncentralT:
         for t in (2.0, 25.0):
             for a in targets:
                 ncp = a * math.sqrt(t * t + df) / t
-                ref = _nct_logpdf_mpmath(t, df, ncp)
+                ref = nct_logpdf_mpmath(t, df, ncp)
                 got = noncentral_t_logpdf(t, df, ncp)
                 assert abs(got - ref) <= 1e-8 + 1e-14 * abs(ref), (t, a)
 
     def test_work_per_point_depends_on_df_alone(self, monkeypatch):
-        """Every point takes the same trapezoid nodes, whatever its a or its companions."""
+        """Every point takes the same trapezoid nodes, whatever its a or its
+        companions, and so does the one a = 0 row of each call."""
         proxy = _ExpSizes()
         monkeypatch.setattr(specfun, "np", proxy)
         t = 2.0
@@ -218,10 +221,20 @@ class TestNoncentralT:
 
         n = work(396.0, [0.5])
         assert work(396.0, [39.0]) == n
-        assert work(396.0, [0.5, 39.0]) == 2 * n
+        assert work(396.0, [0.5, 39.0]) == 3 * n // 2
         for df in (38.0, 396.0, 580.0, 885.0, 2e4, 2e6):
-            assert work(df, [0.5]) == 36, df
-        assert work(0.5, [0.5]) <= 236
+            assert work(df, [0.5]) == 2 * 36, df
+        assert work(0.5, [0.5]) <= 2 * 236
+
+    @pytest.mark.parametrize("df", [4e2, 2e6, 2e7, 2e8, 2e9])
+    def test_no_rounding_noise_that_grows_with_df(self, df):
+        """ln f at t = 22.4 is smooth in ncp: over ncp = 22.4 +- 1e-6 a
+        quadratic fits it to 1e-12.  Terms of ln f that each grow like df
+        and cancel would leave noise of ~1e-15 df there."""
+        d = np.linspace(-1e-6, 1e-6, 201)
+        y = noncentral_t_logpdf(22.4, df, 22.4 + d)
+        residual = y - np.polyval(np.polyfit(d * 1e6, y, 2), d * 1e6)
+        assert np.abs(residual).max() <= 1e-12
 
     @pytest.mark.parametrize("df", [1e-3, 0.5, 3.0, 10.0, 20.0, 38.0, 100.0, 396.0, 700.0, 2e6])
     def test_node_count_is_the_worst_case_over_modes(self, df):
@@ -287,29 +300,6 @@ def _kernel_modes(c):
         x_switch = math.sqrt(specfun._LEFT ** 2 - c)
         modes += [x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6)]
     return modes
-
-
-def _nct_logpdf_mpmath(t, df, ncp):
-    """ln f(t; df, ncp) from the scale-mixture integral in 30-digit arithmetic.
-
-    The integrand v^df exp(-(v - a)^2 / 2) is divided by its peak value, and
-    breakpoints double away from its mode in curvature units; without the
-    division mpmath's error estimate misses 4.5e-7 of ln I at a = -1e3.
-    """
-    with mpmath.workdps(30):
-        t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
-        big_a = t * t + df
-        a = ncp * t / mpmath.sqrt(big_a)
-        mode = (a + mpmath.sqrt(a * a + 4 * df)) / 2
-        width = 1 / mpmath.sqrt(1 + df / mode ** 2)
-        peak = df * mpmath.log(mode) - (mode - a) ** 2 / 2
-        steps = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
-        pts = [0] + [mode + k * width for k in steps if mode + k * width > 0] + [mpmath.inf]
-        log_i = peak + mpmath.log(mpmath.quad(
-            lambda v: mpmath.exp(df * mpmath.log(v) - (v - a) ** 2 / 2 - peak), pts))
-        return float(mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
-                     - mpmath.log(2 * mpmath.pi) / 2 - ncp ** 2 * df / (2 * big_a)
-                     - (df + 1) / 2 * mpmath.log(big_a) + log_i)
 
 
 class _ExpSizes:
