@@ -110,6 +110,11 @@ class SummaryCi:
             raise ValidationError("ci_margin must be a positive number")
         if not 0.0 < self.ci_level < 1.0:
             raise ValidationError("ci_level must lie strictly between 0 and 1")
+        if 1.0 - self.ci_level == 1.0:
+            raise ValidationError(
+                f"ci_level {self.ci_level!r} is too small: 1 - ci_level rounds to 1, "
+                "so the interval's t quantile is 0"
+            )
         if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_y)):
             raise ValidationError("group means must be finite")
 

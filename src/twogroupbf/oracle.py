@@ -83,118 +83,93 @@ def _mixture_log_const(df: float) -> float:
 
 
 def _mixture_exponent(u, t, df, ncp):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = df * np.log(u) - ((u * t - ncp) ** 2 + df * u * u) / 2.0
-    return np.where(u > 0.0, out, -math.inf)
-
-
-def _grid_exponent(u, t, df, ncp):
-    """_mixture_exponent on rows of nodes u >= 0, one ncp per row, in two work arrays."""
+    """df ln u - ((u t - ncp)^2 + df u^2)/2 for u >= 0, ncp broadcast to u, in two work arrays."""
     g = u * t
-    g -= ncp[:, None]
+    g -= ncp
     g *= g
     work = u * df
     work *= u
     g += work
     g *= -0.5
-    with np.errstate(divide="ignore"):  # u = 0 only where the left cutoff underflows: -inf
+    with np.errstate(divide="ignore"):  # u = 0 gives -inf
         np.log(u, out=work)
     work *= df
     g += work
     return g
 
 
-# locating the cutoffs to ~1e-7 of the bracket is plenty: the integrand is
-# ~e^-60 there, so the cut-off error barely moves
+# locating the cutoffs to 2^-24 of their brackets is plenty: the integrand
+# is ~e^-60 there, so the cut-off error barely moves
 _BISECT_STEPS = 24
+# elements per exponent work array; sets how many rows a chunk holds
+_WORK_ELEMENTS = 4_000_000
 
 
-def _bisect_falling(g, target, lo, hi, steps=_BISECT_STEPS):
-    """Roots of g(u) = target where g is decreasing on each (lo, hi)."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(steps):
-        mid = (lo + hi) / 2.0
-        above = g(mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return (lo + hi) / 2.0
+def _drop_point(g, target, outside):
+    """Bisect each offset bracket (0, outside) for g = target; g(0) > target >= g(outside).
 
-
-def nct_logpdf_mixture(t: float, df: float, ncp: float,
-                       nodes: int = 2_000_001) -> float:
-    """ln noncentral t density from the defining scale-mixture integral.
-
-    Uniform grid in the mixing variable u from 0 to the point where the
-    integrand has fallen 60 nats below its peak, trapezoid rule throughout.
+    Returns the outside end of the final bracket, so the cut never lies
+    above the target, and never 0: the window keeps a width even where
+    g's rounding exceeds the 60 nats it is meant to resolve.
     """
-    a2 = t * t + df
-    m = ncp * t / a2
-    u_peak = (m + math.sqrt(m * m + 4.0 * df / a2)) / 2.0
-
-    def g(u):
-        return _mixture_exponent(np.asarray(u, dtype=float), t, df, ncp)
-
-    g_peak = float(g(u_peak))
-    # expand an upper bracket until the integrand has died off
-    hi = u_peak + 1.0 / math.sqrt(a2)
-    while float(g(hi)) > g_peak - _MIX_DROP:
-        hi = u_peak + 2.0 * (hi - u_peak)
-    u_hi = float(_bisect_falling(g, g_peak - _MIX_DROP, np.array(u_peak), np.array(hi)))
-    u = np.linspace(0.0, u_hi, nodes)
-    return _mixture_log_const(df) + _log_trapezoid(g(u), u)
+    inside = np.zeros_like(outside)
+    for _ in range(_BISECT_STEPS):
+        mid = (inside + outside) / 2.0
+        above = g(mid) > target
+        inside = np.where(above, mid, inside)
+        outside = np.where(above, outside, mid)
+    return outside
 
 
 def _loglik_on_grid(t: float, df: float, ncp: np.ndarray,
-                    inner_nodes: int = 201, chunk: int = 20_000) -> np.ndarray:
-    """Mixture-integral log likelihood for a whole grid of noncentralities.
+                    inner_nodes: int = 201) -> np.ndarray:
+    """ln noncentral t density for every ncp from the defining scale-mixture integral.
 
-    Same mathematics as :func:`nct_logpdf_mixture` but with per-element
-    uniform grids between bisection-located drop-off points, so the whole
-    effect-size grid can be done in vectorized chunks.
+    f(t) = C * int_0^inf exp(g(u)) du, with g the mixture exponent.  Per
+    ncp, one uniform trapezoid of inner_nodes nodes spans the two points
+    where g has fallen 60 nats below its peak.  g'' <= -a2 everywhere, so
+    both lie within sqrt(2 * 60 / a2) of the peak; on the left that
+    bracket stops at u = 0, where g = -inf.
     """
     a2 = t * t + df
-    const = _mixture_log_const(df)
+    reach = math.sqrt(2.0 * _MIX_DROP / a2)
     z01 = np.linspace(0.0, 1.0, inner_nodes)
     log_w = np.zeros(inner_nodes)
     log_w[0] = log_w[-1] = math.log(0.5)
+    rows = max(1, _WORK_ELEMENTS // inner_nodes)
 
     out = np.empty(ncp.shape)
-    for start in range(0, ncp.size, chunk):
-        nc = ncp[start:start + chunk]
+    for start in range(0, ncp.size, rows):
+        nc = ncp[start:start + rows]
         m = nc * t / a2
         disc = np.sqrt(m * m + 4.0 * df / a2)
-        # stable peak for either sign of m, and its stable offset from m
+        # stable peak for either sign of m
         with np.errstate(divide="ignore"):  # the unused where-branch
             u_peak = np.where(m >= 0.0, (m + disc) / 2.0, (2.0 * df / a2) / (disc - m))
-        gap = (2.0 * df / a2) / (disc + np.abs(m))
-        gap = np.where(m >= 0.0, gap, u_peak - m)
 
-        # conservative cutoffs from exponent bounds:
-        # right: g'' <= -a2 everywhere, so the drop point is inside
-        # u_peak + sqrt(2 D / a2)
-        u_hi = u_peak + math.sqrt(2.0 * _MIX_DROP / a2)
-        # left: below the peak, g(u) <= df ln u + qmax with qmax the
-        # quadratic part's maximum there; the gap g_peak - qmax is formed
-        # analytically because both terms can reach 1e20
-        log_u_peak = np.log(u_peak)
-        over_qmax = np.where(
-            m > 0.0,
-            df * log_u_peak - a2 * gap * gap / 2.0,
-            df * log_u_peak - a2 * u_peak * u_peak / 2.0 + m * a2 * u_peak,
-        )
-        u_lo = np.exp((over_qmax - _MIX_DROP) / df)
+        def g(x):  # the exponent at offset x from the peak
+            return _mixture_exponent(u_peak + x, t, df, nc)
 
-        u = (u_hi - u_lo)[:, None] * z01
-        u += u_lo[:, None]
-        vals = _grid_exponent(u, t, df, nc)
+        target = g(0.0) - _MIX_DROP
+        x_lo = _drop_point(g, target, -np.minimum(u_peak, reach))
+        x_hi = _drop_point(g, target, np.full(nc.shape, reach))
+
+        width = x_hi - x_lo
+        u = width[:, None] * z01
+        u += (u_peak + x_lo)[:, None]
+        vals = _mixture_exponent(u, t, df, nc[:, None])
         vals += log_w
         peak = vals.max(axis=1)
         vals -= peak[:, None]
         s = np.exp(vals, out=vals).sum(axis=1)
-        step = (u_hi - u_lo) / (inner_nodes - 1)
-        out[start:start + chunk] = const + peak + np.log(s) + np.log(step)
-    return out
+        out[start:start + rows] = peak + np.log(s) + np.log(width / (inner_nodes - 1))
+    return _mixture_log_const(df) + out
+
+
+def nct_logpdf_mixture(t: float, df: float, ncp: float,
+                       nodes: int = 2_000_001) -> float:
+    """ln noncentral t density: :func:`_loglik_on_grid` for one ncp on nodes nodes."""
+    return float(_loglik_on_grid(t, df, np.array([float(ncp)]), inner_nodes=nodes)[0])
 
 
 # ---------------------------------------------------------------------------

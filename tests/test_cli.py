@@ -437,6 +437,18 @@ class TestValidationAndExitCodes:
         assert rc == 0
         assert math.isfinite(json.loads(capsys.readouterr().out)["log_bf"])
 
+    def test_ci_level_next_to_zero(self, capsys):
+        # below 2^-54, 1 - level rounds to 1 and the quantile to 0: refused by name
+        args = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
+                "--ci-margin", "1", "--format", "json", "--ci-level"]
+        for level in ("1e-300", "5e-17"):
+            assert parse_and_run([*args, level]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and "ci_level" in captured.err
+        assert parse_and_run([*args, "1e-16"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["log_bf"])
+
 
 class TestCurves:
     def test_unwritable_curves_path_exits_2(self, tmp_path, capsys):

@@ -159,6 +159,8 @@ class TestValidation:
             SummaryCi(10, 10, 0.0, 0.0, ci_margin=-0.1)
         with pytest.raises(ValidationError):
             SummaryCi(10, 10, 0.0, 0.0, ci_margin=0.2, ci_level=1.0)
+        with pytest.raises(ValidationError, match="ci_level"):
+            SummaryCi(10, 10, 0.0, 0.0, ci_margin=0.2, ci_level=2.0 ** -54)
         # df floor: 2+2-2 = 2 < 3
         with pytest.raises(ValidationError):
             SummaryCi(2, 2, 0.0, 0.0, ci_margin=0.2)

@@ -164,6 +164,25 @@ class TestTinyPriorScale:
             assert abs(self._log_bf(alternative, scale)) <= 1e-7
 
 
+class TestHugeT:
+    # n 20/20 (df 38): for t far past the prior's scale the marginal falls as
+    # the Cauchy tail, t^-2, and the point null as t^-(df+1), so
+    # ln BF10 = C + (df - 1) ln t + O(t^-2) for either alternative
+    @staticmethod
+    def _at(t, alternative):
+        base = derive_stats(SummaryCi(20, 20, 0.0, 0.5, ci_margin=1.0)).t_obs
+        data = SummaryCi(20, 20, 0.0, 0.5, ci_margin=base / t)
+        stats = derive_stats(data)
+        log_bf = super_bf(data, TestSpec.superiority(alternative=alternative)).log_bf
+        return log_bf - (stats.df - 1.0) * math.log(stats.t_obs)
+
+    @pytest.mark.parametrize("alternative", ["two_sided", "one_sided"])
+    def test_log_bf_follows_the_large_t_law(self, alternative):
+        c = self._at(1e6, alternative)
+        for t in (1e7, 1e8, 1e9, 1e10, 1e11):
+            assert self._at(t, alternative) == pytest.approx(c, abs=1e-6)
+
+
 class TestNonInferiority:
     def test_zero_margin_prior_odds_are_even(self):
         assert CauchyPrior().mass(0.0, math.inf) == 0.5

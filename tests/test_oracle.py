@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nct_logpdf_mpmath
 from twogroupbf import oracle
 from twogroupbf.datamodel import SummaryMoments, derive_stats
-from twogroupbf.engine import CauchyPrior, TestSpec
+from twogroupbf.engine import CauchyPrior, TestSpec, super_bf
 from twogroupbf.oracle import GridSpec, default_span, grid_bf, nct_logpdf_mixture
 from twogroupbf.quadrature import Interval
 
@@ -51,12 +52,26 @@ def test_mixture_density_grid_convergence():
     assert a == pytest.approx(b, abs=1e-10)
 
 
-def test_grid_exponent_matches_the_mixture_formula(monkeypatch):
-    """The in-place grid exponent gives the log likelihoods of _mixture_exponent."""
-    ncp = np.linspace(-30.0, 30.0, 2001)
-    cases = [(2.0, 38.0), (-3.1, 396.0), (25.0, 2e4), (5.0, 0.7)]
-    fast = [oracle._loglik_on_grid(t, df, ncp) for t, df in cases]
-    monkeypatch.setattr(oracle, "_grid_exponent",
-                        lambda u, t, df, nc: oracle._mixture_exponent(u, t, df, nc[:, None]))
-    for (t, df), got in zip(cases, fast):
-        np.testing.assert_allclose(got, oracle._loglik_on_grid(t, df, ncp), rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("df", [5.0, 38.0, 2e4, 2e5, 2e6])
+@pytest.mark.parametrize("t", [2.0, 25.0])
+def test_grid_likelihood_against_mpmath(t, df):
+    """The 201-node mixture trapezoid against 30-digit mpmath, out to df 2e6.
+
+    Not asserted: at df 2-3, t = 2 the 201 nodes resolve the integrand's
+    u^df shape near u = 0 only to ~1.4e-7, and at df 2e9 the rounding of
+    lgamma in the constant alone reaches ~2.4e-7.
+    """
+    ncp = np.array([t - 3.0, t, t + 3.0])
+    got = oracle._loglik_on_grid(t, df, ncp)
+    ref = np.array([nct_logpdf_mpmath(t, df, c) for c in ncp])
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8)
+
+
+def test_megatrial_two_sided_matches_the_engine():
+    """n = 1e6 per group, d = 0.01 (df ~2e6): engine and grid oracle agree."""
+    data = SummaryMoments(1_000_000, 1_000_000, 0.0, 0.01, 1.0, 1.0)
+    spec = TestSpec.superiority(alternative="two_sided")
+    prior = CauchyPrior()
+    bf = grid_bf(derive_stats(data), prior, spec,
+                 GridSpec(span=default_span(prior), nodes=100_001))
+    assert super_bf(data, spec).log_bf == pytest.approx(math.log(bf), abs=1e-6)
