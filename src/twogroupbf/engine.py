@@ -347,13 +347,15 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
         except QuadratureError as exc:  # the integrand or the cuts fail every scale
             rows = [exc] * len(live)
         input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
+        # the point null's likelihood, the same at every scale
+        log_point = float(specfun.central_t_logpdf(t_c, stats.df)) if hyp.h0 is None else math.nan
         for i, log_m in zip(live, rows):
             if isinstance(log_m, QuadratureError):
                 outcomes[i] = QuadratureError(
                     f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
                     log_m.best_log_estimate, log_m.log_error_bound)
                 continue
-            log_avg = [(float(specfun.central_t_logpdf(t_c, stats.df)) if pieces is None
+            log_avg = [(log_point if pieces is None
                         else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
                        for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]
             log_bf10 = log_avg[0] - log_avg[1]

@@ -135,6 +135,8 @@ def cauchy_logpdf(x, scale):
 # Both window ends lie _TAIL = ln(1/_EPS) + ln 10 nats below the peak: the
 # tail beyond a left end at s < -1 holds at most e^{-_TAIL} / ((1 - 1/e) c)
 # of the peak, below 8 e^{-_TAIL} of I (c >= 1, x*^2 < 2 _TAIL / (1 - 1/e)^2).
+# Each end is placed by the curvature bound at the end itself, so at large
+# c + x*^2, where the peak is nearly symmetric, the window is too.
 # The peak's skew makes the error at a full _SPACING sigma step exceed the
 # Gaussian estimate where sigma > ~0.05; the node count is the worst case over
 # modes, so those modes get finer steps, and the tests check the kernel
@@ -143,7 +145,7 @@ def cauchy_logpdf(x, scale):
 _EPS = 1e-12  # target relative error in I(a)
 _TAIL = math.log(10.0 / _EPS)  # nats below the peak at both window ends
 _RIGHT = math.sqrt(2.0 * _TAIL)  # right end, in sigma
-_LEFT = math.e * _RIGHT  # left end in sigma, while that stays within s >= -1
+_LEFT = math.e * _RIGHT  # the left end reaches s = -1 where c + x*^2 = _LEFT^2
 _SPACING = math.pi * math.sqrt(2.0 / math.log(2.0 / _EPS))  # node spacing in sigma
 _CAP = math.pi ** 2 / (3.0 * math.log(2.0 / _EPS))  # node spacing cap in s
 _Q = 1.0 - 1.0 / math.e  # below s = -1 the log integrand falls at least _Q c per unit s
@@ -152,29 +154,34 @@ _Q = 1.0 - 1.0 / math.e  # below s = -1 the log integrand falls at least _Q c pe
 def _window(c, x2):
     """Left and right trapezoid ends in s for modes with x*^2 = x2.
 
-    For -1 <= s <= 0 the log integrand falls at least e^-2 (c + x*^2) s^2 / 2,
-    which reaches _TAIL at s = -_LEFT sigma.  Below s = -1 it falls at least
-    _Q^2 x*^2 / 2 + c max(-1 - s, 1/e + _Q (-1 - s)), which reaches _TAIL at
-    s = -1 - w.  w = 0 wherever _LEFT sigma <= 1, so the left end is
-    continuous across that switch.
+    For s >= 0 the log integrand falls at least (c + x*^2) s^2 / 2, which
+    reaches _TAIL at k = _RIGHT sigma.  On [-y, 0] it falls at least
+    e^{-2y} (c + x*^2) s^2 / 2, so a left end at s = -y needs y e^{-y} >= k.
+    As e^y <= 1 + (e - 1) y on [0, 1], y = k / (1 - (e - 1) k) meets that
+    for every k <= 1/e, and reaches 1 at k = 1/e: c + x*^2 = _LEFT^2.  For
+    larger k the denominator's max(., k) holds y at 1.
+    Below s = -1 it falls at least _Q^2 x*^2 / 2 + c max(-1 - s,
+    1/e + _Q (-1 - s)), which reaches _TAIL at s = -1 - w.  w = 0 wherever
+    k <= 1/e, so the left end is continuous across that switch.
     """
-    sigma = 1.0 / np.sqrt(c + x2)
+    k = _RIGHT / np.sqrt(c + x2)
     r = _TAIL - _Q * _Q * x2 / 2.0
     w = np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
-    return -np.minimum(_LEFT * sigma, 1.0) - w, _RIGHT * sigma
+    return -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w, k
 
 
 def _worst_modes(c):
     """The x*^2 whose windows need the most nodes at c = df + 1.
 
-    Where c + x*^2 >= _LEFT^2 the window spans (1 + e) _RIGHT sigma, the same
-    number of _SPACING sigma steps for every mode.  Below, the step count
+    Where c + x*^2 >= _LEFT^2 the window spans k + k / (1 - (e - 1) k),
+    k = _RIGHT sigma: its _SPACING sigma steps fall as x*^2 grows, so the
+    switch stands for every mode beyond it.  Below, the step count
     (_RIGHT + (1 + w) / sigma) / _SPACING is concave on each linear piece of
     w: it peaks at a piece's stationary point or at a piece end.  Capped
     steps peak at x* -> 0.
     """
     q2 = _Q * _Q
-    u_switch = max(_LEFT * _LEFT - c, 0.0)  # stands for every mode beyond it
+    u_switch = max(_LEFT * _LEFT - c, 0.0)
     return [min(max(u, 0.0), u_switch) for u in (
         0.0,
         2.0 * (c * (1.0 - q2) + _TAIL) / (3.0 * q2),  # stationary, w = r / c
@@ -194,9 +201,10 @@ def _node_count(c):
     steps = 0.0
     for u in set(_worst_modes(c)):
         sigma = 1.0 / math.sqrt(c + u)
+        k = _RIGHT * sigma
         r = _TAIL - _Q * _Q * u / 2.0
         w = max(min(r, (r - c / math.e) / _Q), 0.0) / c
-        span = _RIGHT * sigma + min(_LEFT * sigma, 1.0) + w
+        span = k + k / max(1.0 - (math.e - 1.0) * k, k) + w
         steps = max(steps, span / min(_SPACING * sigma, _CAP))
     return math.ceil(steps) + 1
 

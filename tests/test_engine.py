@@ -508,6 +508,14 @@ class TestPriorSweep:
         sweep = prior_sweep(STUDY_47, TestSpec.non_inferiority(1.0, direction="low"), scales)
         assert len(calls) == 1
         assert all(e.result is not None for e in sweep.entries)
+        # and the point null's likelihood once per sweep: the engine passes a
+        # scalar t, the density its points as an array
+        t_dims = []
+        central = specfun.central_t_logpdf
+        monkeypatch.setattr(specfun, "central_t_logpdf",
+                            lambda t, df: t_dims.append(np.ndim(t)) or central(t, df))
+        prior_sweep(STUDY_51, spec, scales)
+        assert t_dims.count(0) == 1
 
     def test_per_scale_failure_is_isolated(self):
         data = SummaryMoments(10, 10, 0.0, 0.1, 1.0, 1.0)

@@ -222,8 +222,9 @@ class TestNoncentralT:
         n = work(396.0, [0.5])
         assert work(396.0, [39.0]) == n
         assert work(396.0, [0.5, 39.0]) == 3 * n // 2
-        for df in (38.0, 396.0, 580.0, 885.0, 2e4, 2e6):
-            assert work(df, [0.5]) == 2 * 36, df
+        for df, nodes in ((38.0, 36), (396.0, 36), (580.0, 31), (885.0, 28), (2e4, 21),
+                          (2e6, 20)):
+            assert work(df, [0.5]) == 2 * nodes, df
         assert work(0.5, [0.5]) <= 2 * 236
 
     @pytest.mark.parametrize("df", [4e2, 2e6, 2e7, 2e8, 2e9])
@@ -245,6 +246,18 @@ class TestNoncentralT:
         most = np.max((right - left) / np.minimum(specfun._SPACING * sigma, specfun._CAP))
         assert specfun._node_count(c) >= math.ceil(most) + 1
 
+    @pytest.mark.parametrize("df", [0.5, 3.0, 10.0, 20.0, 38.0, 100.0, 396.0, 441.0, 700.0,
+                                    2e4, 2e6, 2e9])
+    def test_window_ends_are_tail_below_the_peak(self, df):
+        """At both ends of every mode's window the log integrand has fallen at
+        least _TAIL from its peak of 0, up to rounding."""
+        c = df + 1.0
+        u = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
+        for end in specfun._window(c, u):
+            e = np.expm1(end)
+            log_integrand = -c * (e - end) - u * (e * e) / 2.0
+            assert log_integrand.max() <= -specfun._TAIL * (1.0 - 1e-12), end[log_integrand.argmax()]
+
     @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 20.0, 38.0, 396.0, 700.0, 2e4, 2e6])
     def test_trapezoid_converged_at_its_spacing(self, df, monkeypatch):
         """ln I agrees with itself at half the node spacing and a window 10 nats
@@ -252,6 +265,13 @@ class TestNoncentralT:
         c = df + 1.0
         a = np.concatenate([-np.geomspace(1e-3, 1e4, 300), [0.0], np.geomspace(1e-3, 1e4, 300),
                             [x - c / x for x in _kernel_modes(c)]])
+        windows, window = [], specfun._window
+
+        def recorded(c, x2):
+            windows.append(window(c, x2))
+            return windows[-1]
+
+        monkeypatch.setattr(specfun, "_window", recorded)
         coarse = specfun._log_hh(df, a)
         tail = specfun._TAIL + 10.0
         for name, value in (("_TAIL", tail), ("_RIGHT", math.sqrt(2.0 * tail)),
@@ -259,6 +279,10 @@ class TestNoncentralT:
                             ("_SPACING", specfun._SPACING / 2.0), ("_CAP", specfun._CAP / 2.0)):
             monkeypatch.setattr(specfun, name, value)
         fine = specfun._log_hh(df, a)
+        (left, right), (wide_left, wide_right) = windows
+        # wider at both ends; a left end at s = -1 may stay there (w = 0 both times)
+        assert np.all(wide_right > right)
+        assert np.all(wide_left <= left) and np.all(wide_left[left > -1.0] < left[left > -1.0])
         err = np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))
         assert err.max() <= specfun._EPS, a[err.argmax()]
 
