@@ -221,7 +221,9 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     column = np.asarray(scales, dtype=float)[:, None]
 
     def joint(delta):
-        return (specfun.noncentral_t_logpdf(t, stats.df, delta * sqrt_n)
+        with np.errstate(over="ignore"):  # ncp past the float range is +-inf
+            ncp = delta * sqrt_n
+        return (specfun.noncentral_t_logpdf(t, stats.df, ncp)
                 + specfun.cauchy_logpdf(delta, column))
 
     # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df))

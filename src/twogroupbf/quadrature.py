@@ -7,15 +7,16 @@ given cut points.  All bookkeeping stays in log space: the integrands
 this package feeds in routinely span thousands of nats, and the
 interesting region integrals can be smaller than 1e-300 in linear scale.
 
-Infinite endpoints are mapped to finite ones by a change of variables
-(x = tan(theta) for a doubly infinite interval, x = a + u/(1-u) and its
-mirror for half-infinite ones).  The initial panels of each piece cluster
-geometrically around the (x, width) features the caller names, down to each
-feature's width, so that sharp peaks are resolved from the first pass.  The
-integrand is then called once for all initial panels and once per
-refinement round for all the panels it bisects (as SciPy's ``quad_vec``
-refines many intervals at a time).  All rows share every panel, and each
-row converges on its own.
+Every region goes through one change of variables, x = s tan(u), with s
+spanning every point the caller names (features, cuts and finite ends):
+each of them then sits at |u| <= pi/4, where x keeps full relative
+precision at any magnitude, and an infinite end is u = +-pi/2.  The
+initial panels of each piece cluster geometrically around the (x, width)
+features, down to each feature's width, so that sharp peaks are resolved
+from the first pass.  The integrand is then called once for all initial
+panels and once per refinement round for all the panels it bisects (as
+SciPy's ``quad_vec`` refines many intervals at a time).  All rows share
+every panel, and each row converges on its own.
 """
 
 from __future__ import annotations
@@ -89,30 +90,10 @@ _LOG_WK = np.log(np.array([row[1] for row in _GK15]))
 _GAUSS_MASK = np.array([row[2] > 0.0 for row in _GK15])
 _LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))
 
-_GRAIN = 2.0 ** -44  # narrowest panel with 15 distinct nodes, relative to its place in u
+# narrowest panel with 15 distinct nodes, relative to its place in u; at
+# |u| <= pi/4, where the named points sit, that is < 1e-13 of their x
+_GRAIN = 2.0 ** -44
 _NEG_INF = float("-inf")
-
-
-def _make_transform(region: Interval):
-    """Map region to a finite (lo, hi): the log-integrand there, with its
-    log-Jacobian term, the map from x to the new variable u, and du/dx as a
-    function of u."""
-    lo_inf = math.isinf(region.lower)
-    hi_inf = math.isinf(region.upper)
-    if lo_inf and hi_inf:
-        def g(theta, f):
-            x = np.tan(theta)
-            return f(x) + np.log1p(x * x)
-        return g, math.atan, (lambda u: math.cos(u) ** 2), (-math.pi / 2.0, math.pi / 2.0)
-    if lo_inf or hi_inf:  # x = a + u/(1-u) from the finite end a, or its mirror
-        a, s = (region.upper, -1.0) if lo_inf else (region.lower, 1.0)
-
-        def g(u, f):
-            with np.errstate(divide="ignore", invalid="ignore"):  # u = 1: NaN, which _panels names
-                return f(a + s * u / (1.0 - u)) - 2.0 * np.log1p(-u)
-        return (g, (lambda x: s * (x - a) / (1.0 + s * (x - a))), (lambda u: (1.0 - u) ** 2),
-                (0.0, 1.0))
-    return (lambda x, f: f(x)), (lambda x: x), (lambda u: 1.0), (region.lower, region.upper)
 
 
 def _panels(g, f, lo, hi):
@@ -212,20 +193,29 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
     cuts = [float(c) for c in cuts]
     if any(not region.lower < c < region.upper for c in cuts) or cuts != sorted(set(cuts)):
         raise ValueError("cuts must increase strictly inside the region")
-    g, to_u, slope, (lo, hi) = _make_transform(region)
-    edges = sorted([lo, hi, *(to_u(c) for c in cuts)])
+    # x = s tan(u) puts every named point (the features clipped into the
+    # region, the cuts, the finite ends) at |u| <= pi/4; s >= 1 keeps
+    # x = tan(u) where nothing named lies beyond 1
+    x_edges = [region.lower, *cuts, region.upper]
+    named = [(min(max(float(x), region.lower), region.upper), float(w)) for x, w in features]
+    s = max([1.0, *(abs(x) for x in x_edges + [x for x, _ in named] if math.isfinite(x))])
+    log_s = math.log(s)
+
+    def g(u, f):
+        t = np.tan(u)
+        with np.errstate(over="ignore"):  # x past the float range is +-inf
+            x = s * t
+        return f(x) + np.log1p(t * t) + log_s  # ln dx/du
+
+    edges = [math.atan(x / s) for x in x_edges]  # +-pi/2 at infinite ends
     if any(a >= b for a, b in zip(edges[:-1], edges[1:])):
         raise QuadratureError(f"cuts {cuts} cannot be told apart from each other or from "
                               "the region's ends at double precision", _NEG_INF, math.inf)
-    flip = math.isinf(region.lower) and math.isfinite(region.upper)  # (-inf, b) runs against x
     pieces = len(edges) - 1
 
-    # each feature in u, clipped into the region first, where the map is
-    # monotone; all initial panels go in one call
-    seeds = []
-    for x, width in features:
-        u = to_u(min(max(float(x), region.lower), region.upper))
-        seeds.append((u, float(width) * slope(u)))
+    # each feature in u, its width times du/dx = cos(u)^2 / s; all initial
+    # panels go in one call
+    seeds = [(u, w * math.cos(u) ** 2 / s) for u, w in ((math.atan(x / s), w) for x, w in named)]
     breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(edges[:-1], edges[1:])]
     counts = [len(br) - 1 for br in breaks]
     owner = np.repeat(np.arange(pieces), counts)
@@ -275,13 +265,10 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
         log_k = np.concatenate((log_k, new_k[:, n:]), axis=1)
         err = np.concatenate((err, new_err[:, n:]), axis=1)
 
-    if flip:
-        totals, errs, unconverged = totals[:, ::-1], errs[:, ::-1], unconverged[:, ::-1]
     results = totals.tolist()
     if converged:
         return results
     log_errs = errs.tolist()
-    x_edges = [region.lower, *cuts, region.upper]
     names = list(zip(x_edges[:-1], x_edges[1:]))
     for j in np.flatnonzero(unconverged.any(axis=1)):
         detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "

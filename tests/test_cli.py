@@ -402,12 +402,13 @@ class TestValidationAndExitCodes:
         fx.write_text("1e200\n-1e200\n3e200\n")
         fy.write_text("2e200\n-1e200\n5e200\n")
         env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
-        # t = 1e16 one-sided puts a half-line map's node at u = 1, x = inf
-        huge_t = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
-                  "--ci-margin", "1e-16", "--alternative", "one_sided"]
+        # a margin of 1e307 puts the outer nodes past the float range
+        far_margin = ["infer", "--n-x", "50", "--n-y", "50", "--mean-x", "0", "--mean-y", "0.3",
+                      "--sd-x", "1", "--sd-y", "1", "--ni-margin", "1e307", "--ni-margin-std",
+                      "--prior-scale", "1e307"]
         for args, status in ((TINY_CI_MARGIN, 3),
                              (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2),
-                             (huge_t, 3)):
+                             (far_margin, 3)):
             proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == status

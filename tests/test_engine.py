@@ -164,6 +164,9 @@ class TestTinyPriorScale:
             assert abs(self._log_bf(alternative, scale)) <= 1e-7
 
 
+HUGE_T = (1e12, 1e14, 1e16, 1e18, 1e30, 1e150)
+
+
 class TestHugeT:
     # n 20/20 (df 38): for t far past the prior's scale the marginal falls as
     # the Cauchy tail, t^-2, and the point null as t^-(df+1), so
@@ -179,8 +182,15 @@ class TestHugeT:
     @pytest.mark.parametrize("alternative", ["two_sided", "one_sided"])
     def test_log_bf_follows_the_large_t_law(self, alternative):
         c = self._at(1e6, alternative)
-        for t in (1e7, 1e8, 1e9, 1e10, 1e11):
+        for t in (1e7, 1e8, 1e9, 1e10, 1e11, *HUGE_T):
             assert self._at(t, alternative) == pytest.approx(c, abs=1e-6)
+
+    def test_one_sided_is_two_sided_plus_ln_2(self):
+        # all of the likelihood lies on delta > 0, where the one-sided prior
+        # is twice as dense
+        for t in HUGE_T:
+            assert self._at(t, "one_sided") - self._at(t, "two_sided") == pytest.approx(
+                math.log(2.0), abs=1e-12)
 
 
 class TestNonInferiority:
@@ -205,6 +215,16 @@ class TestNonInferiority:
         oracle = grid_bf(derive_stats(data), prior, spec,
                          GridSpec(span=default_span(prior), nodes=1_000_001))
         assert engine.log_bf == pytest.approx(math.log(oracle), abs=1e-6)
+
+    def test_far_tail_margin_gives_the_gaussian_tail(self):
+        # a margin far past the data leaves H0 only the likelihood's tail
+        # at the cut, so ln BF10 = (margin sqrt(n_eff))^2 / 2 to leading order
+        data = SummaryMoments(50, 50, 0.0, 0.3, 1.0, 1.0)
+        sqrt_n = math.sqrt(derive_stats(data).n_eff)
+        for margin, scale in ((1e10, 0.707), (1e10, 1e125), (1e74, 1e125)):
+            res = infer_bf(data, TestSpec.non_inferiority(margin, standardized=True),
+                           prior_scale=scale)
+            assert res.log_bf == pytest.approx((margin * sqrt_n) ** 2 / 2.0, rel=1e-12)
 
     def test_margin_growth_never_decreases_evidence(self):
         data = SummaryMoments(20, 20, 0.5, 0.45, 1.0, 1.0)

@@ -77,7 +77,7 @@ def test_pieces_converge_on_their_own_mass():
 
 
 def test_pieces_of_left_half_line_come_in_increasing_order():
-    # the (-inf, b) map runs against x; the pieces must not
+    # the pieces come in increasing x
     f = lambda x: cauchy_logpdf(x, 1.0)
     cdf = lambda x: 0.5 + math.atan(x) / math.pi
     pieces = _one(f, Interval(-math.inf, 1.0), [(0.0, 1.0)], cuts=(-4.0, 0.5))
@@ -90,9 +90,13 @@ def test_cut_validation():
     for cuts in ((2.0,), (0.5, 0.5), (0.7, 0.3), (-1.0,)):
         with pytest.raises(ValueError):
             integrate_log(f, Interval(0.0, 1.5), cuts, [(0.0, 0.7)])
-    # atan(1e17) rounds to pi/2: the last piece would have no width
+    # adjacent doubles map to one u: the piece between them would have no width
     with pytest.raises(QuadratureError):
-        integrate_log(f, Interval(-math.inf, math.inf), (1e17,), [(0.0, 0.7)])
+        integrate_log(f, Interval(-math.inf, math.inf), (1e300, math.nextafter(1e300, math.inf)),
+                      [(0.0, 0.7)])
+    # a far cut is placed: the map's scale spans it
+    (pieces,) = integrate_log(f, Interval(-math.inf, math.inf), (1e17,), [(0.0, 0.7)])
+    assert all(math.isfinite(p) for p in pieces)
 
 
 def test_log_shift_invariance():
@@ -140,6 +144,13 @@ def test_narrow_peak_is_found():
         f, spike, exact = _gaussian_spike(k, 37.25)
         res = _one(f, Interval(-math.inf, math.inf), spike)
         assert res == pytest.approx(exact, abs=1e-8)
+    # so is a peak of relative width 0.1 far out, on every region that
+    # holds it
+    for k, centre in ((5e-33, 1e17), (5e-201, 1e101)):
+        f, spike, exact = _gaussian_spike(k, centre)
+        for region in (Interval(-math.inf, math.inf), Interval(0.0, math.inf),
+                       Interval(-math.inf, 2.0 * centre)):
+            assert _one(f, region, spike) == pytest.approx(exact, abs=1e-12)
 
 
 def test_spike_far_below_the_region_span():
@@ -148,10 +159,11 @@ def test_spike_far_below_the_region_span():
 
 
 def test_spike_at_the_grain_of_the_tan_map():
-    # theta next to x = 1234.5 steps ~3e-10 in x, 1/200 of the spike's sd:
-    # the integrand itself is sampled no finer than that
+    # doubles next to x = 1234.5 are 2.3e-13 apart, 1/300000 of the spike's
+    # sd, and the map, scaled to the spike's place, puts nodes that close;
+    # rounding x moves the integrand there by ~1e-6, which no map avoids
     f, spike, exact = _gaussian_spike(1e14, 1234.5)
-    assert _one(f, Interval(-math.inf, math.inf), spike) == pytest.approx(exact, abs=1e-4)
+    assert _one(f, Interval(-math.inf, math.inf), spike) == pytest.approx(exact, abs=1e-5)
 
 
 def _recording(f):
@@ -189,8 +201,8 @@ def test_nonconvergence_raises_with_best_estimate(monkeypatch):
 
 
 def test_error_names_each_unconverged_piece_in_x(monkeypatch):
-    # the singularity at the cut leaves both pieces short; the (-inf, b)
-    # map runs against x, but the pieces are named in x
+    # the singularity at the cut leaves both pieces short; each is named
+    # by its range in x, in increasing x
     f = lambda x: -0.9 * np.log(np.abs(x + 0.19)) - 2.0 * np.log1p(x * x)
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as err:
