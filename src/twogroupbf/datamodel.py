@@ -13,6 +13,7 @@ the observed t statistic is oriented as y - x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -36,6 +37,9 @@ __all__ = [
 # The CI input path inverts a t quantile; keep df away from the explosive
 # low end so the inversion stays well conditioned.
 _CI_MIN_DF = 3
+
+# the largest |t| whose square is finite, ~1.34e154
+_MAX_ABS_T = math.sqrt(sys.float_info.max)
 
 
 class ValidationError(ValueError):
@@ -197,10 +201,11 @@ def derive_stats(data: StudyInput) -> DerivedStats:
     n_x, n_y = data.n_x, data.n_y
     se = sd * math.sqrt(1.0 / n_x + 1.0 / n_y)
     t_obs = (data.mean_y - data.mean_x) / se if se > 0.0 else math.inf
-    if not math.isfinite(t_obs):
+    if not math.isfinite(t_obs * t_obs):  # the likelihood needs t^2
         raise ValidationError(
-            f"the t statistic (mean_y - mean_x) / SE is not finite: mean_x = {data.mean_x!r}, "
-            f"mean_y = {data.mean_y!r}, SE = {se!r}")
+            f"the t statistic (mean_y - mean_x) / SE = {t_obs!r} is too large: t^2 must be "
+            f"finite, |t| <= {_MAX_ABS_T:.3g} (mean_x = {data.mean_x!r}, "
+            f"mean_y = {data.mean_y!r}, SE = {se!r})")
     return DerivedStats(
         df=float(n_x + n_y - 2),
         sd_pooled=sd,

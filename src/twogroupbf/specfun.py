@@ -21,6 +21,7 @@ __all__ = [
     "central_t_logpdf",
     "noncentral_t_logpdf",
     "cauchy_logpdf",
+    "frozen_cauchy_logpdf",
     "student_t_quantile",
     "student_t_cdf",
 ]
@@ -64,13 +65,15 @@ def central_t_logpdf(t, df):
     """ln density of Student's t with ``df`` degrees of freedom at ``t``."""
     if df <= 0.0 or math.isnan(df):
         raise DomainError("central_t_logpdf requires df > 0")
-    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # t^2 = inf: a density of zero in any scale
-        return (
-            _log_gamma_half_ratio(df / 2.0)
-            - 0.5 * (math.log(df) + LN_PI)
-            - ((df + 1.0) / 2.0) * np.log1p(t * t / df)
-        )
+        return _central_t(np.asarray(t, dtype=float), df)
+
+
+def _central_t(t, df):
+    """central_t_logpdf for a float array ``t`` and a valid ``df``, under the
+    caller's errstate."""
+    return (_log_gamma_half_ratio(df / 2.0) - 0.5 * (math.log(df) + LN_PI)
+            - ((df + 1.0) / 2.0) * np.log1p(t * t / df))
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +85,25 @@ def cauchy_logpdf(x, scale):
 
     Broadcasts over ``x`` and ``scale``.
     """
+    return frozen_cauchy_logpdf(scale)(x)
+
+
+def frozen_cauchy_logpdf(scale):
+    """cauchy_logpdf with ``scale`` fixed, as a function of ``x`` alone: the
+    scales are checked and their normalizers taken once, not per call."""
     scale = np.asarray(scale, dtype=float)
     scales = scale.ravel().tolist()
     if not all(s > 0.0 for s in scales):
         raise DomainError("cauchy_logpdf requires scale > 0")
-    z = np.asarray(x, dtype=float) / scale
     # libm's log for the normalizer, whose last bit numpy's log may not match
     neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
-    with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
-        return neg_log_norm - np.log1p(z * z)
+
+    def logpdf(x):
+        z = np.asarray(x, dtype=float) / scale
+        with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
+            return neg_log_norm - np.log1p(z * z)
+
+    return logpdf
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +178,11 @@ def _window(c, x2):
     k <= 1/e, so the left end is continuous across that switch.
     """
     k = _RIGHT / np.sqrt(c + x2)
-    r = _TAIL - _Q * _Q * x2 / 2.0
-    w = np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
-    return -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w, k
+    left = -k / np.maximum(1.0 - (math.e - 1.0) * k, k)
+    if c / math.e <= _TAIL:  # else r - c/e < 0 for every mode, and w = 0
+        r = _TAIL - _Q * _Q * x2 / 2.0
+        left = left - np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
+    return left, k
 
 
 def _worst_modes(c):
@@ -209,8 +224,11 @@ def _node_count(c):
     return math.ceil(steps) + 1
 
 
+_EVAL_CHUNK = 2048  # trapezoid rows per pass: bounds the (rows x nodes) work arrays
+
+
 def _log_hh(df, a):
-    """ln I(a) - (c/2) ln c + c/2 for an array of reduced noncentralities, one
+    """ln I(a) - (c/2) ln c + c/2 for a 1-D array of reduced noncentralities, one
     trapezoid in ln v per point: a difference of two is ln I(a) - ln I(0)."""
     c = df + 1.0
     # the mode, without cancellation for either sign of a
@@ -220,15 +238,17 @@ def _log_hh(df, a):
     left, right = _window(c, x2)
     n = _node_count(c)
     step = (right - left) / (n - 1)
-    s = left[:, None] + step[:, None] * np.arange(n)
-    e = np.expm1(s)
-    h = -c * (e - s) - x2[:, None] * (e * e) / 2.0
-    # both ends are far below the peak, so every node weighs the same
+    nodes = np.arange(n)
+    sums = np.empty(a.size)
+    for i in range(0, a.size, _EVAL_CHUNK):
+        rows = slice(i, i + _EVAL_CHUNK)
+        s = left[rows, None] + step[rows, None] * nodes
+        e = np.expm1(s)
+        h = -c * (e - s) - x2[rows, None] * (e * e) / 2.0
+        # both ends are far below the peak, so every node weighs the same
+        sums[rows] = np.exp(h).sum(axis=1)
     return (c * np.arcsinh(a / (2.0 * math.sqrt(c))) + c * a / (2.0 * x_star)
-            + np.log(np.exp(h).sum(axis=1) * step))
-
-
-_EVAL_CHUNK = 2048  # points per pass: bounds the (points x trapezoid nodes) work arrays
+            + np.log(sums * step))
 
 
 def noncentral_t_logpdf(t, df, ncp):
@@ -240,24 +260,19 @@ def noncentral_t_logpdf(t, df, ncp):
     """
     if df <= 0.0 or math.isnan(df):
         raise DomainError("noncentral_t_logpdf requires df > 0")
-    t_arr, ncp_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(ncp, dtype=float))
-    t_flat, n_flat = t_arr.ravel(), ncp_arr.ravel()
-
-    out = np.full(t_flat.shape, -math.inf)
-    for s in range(0, t_flat.size, _EVAL_CHUNK):
-        tt = t_flat[s:s + _EVAL_CHUNK]
-        nn = n_flat[s:s + _EVAL_CHUNK]
-        with np.errstate(over="ignore", invalid="ignore"):
-            big_a = tt * tt + df
-            gauss = nn * nn * df / (2.0 * big_a)
-        # beyond the overflow horizon the density is zero in any scale
-        ok = np.isfinite(gauss) & np.isfinite(big_a)
-        if ok.any():
-            # the a = 0 row, ln I(0), rides in the same trapezoid pass
-            log_i = _log_hh(df, np.concatenate(([0.0], nn[ok] * tt[ok] / np.sqrt(big_a[ok]))))
-            out[s:s + _EVAL_CHUNK][ok] = (central_t_logpdf(tt[ok], df) - gauss[ok]
-                                          + (log_i[1:] - log_i[0]))
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    t = np.asarray(t, dtype=float)
+    ncp = np.asarray(ncp, dtype=float)
+    with np.errstate(all="ignore"):
+        big_a = t * t + df
+        gauss = ncp * ncp * df / (2.0 * big_a)
+        # the a = 0 row, ln I(0), rides in the same trapezoid pass
+        log_i = _log_hh(df, np.concatenate(([0.0], ncp * t / np.sqrt(big_a)), axis=None))
+        out = _central_t(t, df) - gauss + (log_i[1:].reshape(gauss.shape) - log_i[0])
+    # a point where t^2 or ncp^2 df overflows, beyond the horizon where the
+    # density is zero in any scale, ends as -inf or nan (every other point
+    # is finite): fmax turns nan into -inf
+    out = np.fmax(out, -math.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

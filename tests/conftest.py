@@ -48,7 +48,9 @@ def nct_logpdf_mpmath(t, df, ncp):
         t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
         big_a = t * t + df
         a = ncp * t / mpmath.sqrt(big_a)
-        mode = (a + mpmath.sqrt(a * a + 4 * df)) / 2
+        root = mpmath.sqrt(a * a + 4 * df)
+        # the mode of v^df exp(-(v - a)^2 / 2), without cancellation for a < 0
+        mode = (a + root) / 2 if a >= 0 else 2 * df / (root - a)
         width = 1 / mpmath.sqrt(1 + df / mode ** 2)
         peak = df * mpmath.log(mode) - (mode - a) ** 2 / 2
         steps = (-64, -16, -4, -1, 0, 1, 4, 16, 64)

@@ -26,6 +26,12 @@ INFER_ARGS = [
 # t = 2e300, past the point where t^2 overflows
 TINY_CI_MARGIN = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
                   "--ci-margin", "1e-300"]
+# t = 2.2e160 from moments
+TINY_SDS = ["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0", "--mean-y", "1",
+            "--sd-x", "1e-160", "--sd-y", "1e-160"]
+# n 50/50, d = 0.3; every node past a standardized margin of 1e307 is past the float range
+FAR_MARGIN = ["--n-x", "50", "--n-y", "50", "--mean-x", "0", "--mean-y", "0.3",
+              "--sd-x", "1", "--sd-y", "1", "--prior-scale", "1e307"]
 
 
 class TestInferInvocation:
@@ -388,9 +394,11 @@ class TestValidationAndExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_non_finite_log_bf_exits_3(self, capsys):
-        # t = 2e300: the likelihood is zero in any scale under both hypotheses
-        for alternative in ("two_sided", "one_sided"):
-            rc = parse_and_run([*TINY_CI_MARGIN, "--alternative", alternative])
+        # the likelihood is zero in any scale on every piece of one hypothesis:
+        # H0 of non-inferiority, H1 of equivalence
+        for design in (["infer", "--ni-margin", "1e307", "--ni-margin-std"],
+                       ["equiv", "--interval", "1e307", "--interval-std"]):
+            rc = parse_and_run([*design, *FAR_MARGIN])
             captured = capsys.readouterr()
             assert rc == 3
             assert "log Bayes factor is not finite" in captured.err and captured.out == ""
@@ -403,10 +411,8 @@ class TestValidationAndExitCodes:
         fy.write_text("2e200\n-1e200\n5e200\n")
         env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
         # a margin of 1e307 puts the outer nodes past the float range
-        far_margin = ["infer", "--n-x", "50", "--n-y", "50", "--mean-x", "0", "--mean-y", "0.3",
-                      "--sd-x", "1", "--sd-y", "1", "--ni-margin", "1e307", "--ni-margin-std",
-                      "--prior-scale", "1e307"]
-        for args, status in ((TINY_CI_MARGIN, 3),
+        far_margin = ["infer", "--ni-margin", "1e307", "--ni-margin-std", *FAR_MARGIN]
+        for args, status in ((TINY_CI_MARGIN, 2), (TINY_SDS, 2),
                              (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2),
                              (far_margin, 3)):
             proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
@@ -429,6 +435,14 @@ class TestValidationAndExitCodes:
         captured = capsys.readouterr()
         assert rc == 2
         assert "mean_x = -1e+308, mean_y = 1e+308" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("args", [TINY_CI_MARGIN, TINY_SDS])
+    def test_t_statistic_whose_square_overflows_exits_2(self, args, capsys):
+        rc = parse_and_run(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "t^2 must be finite, |t| <= 1.34e+154" in captured.err and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_ci_level_next_to_one(self, capsys):
         # (1 + level) / 2 rounds to 1.0 here; the tail (1 - level) / 2 does not

@@ -173,6 +173,15 @@ class TestValidation:
                 SummaryCi(n_x, n_y, 0.0, 1.0, ci_margin=0.5)
         assert SummaryMoments(10.0, 12, 0.0, 1.0, 1.0, 1.0).n_x == 10
 
+    def test_t_statistic_whose_square_overflows(self):
+        # t = 2.2e160 from moments, 1e300 from a CI: the likelihood needs t^2
+        for data in (SummaryMoments(10, 10, 0.0, 1.0, 1e-160, 1e-160),
+                     SummaryCi(20, 20, 0.0, 0.5, ci_margin=1e-300)):
+            with pytest.raises(ValidationError, match=r"t\^2 must be finite"):
+                derive_stats(data)
+        # t = 2.2e153: its square is finite
+        assert derive_stats(SummaryMoments(10, 10, 0.0, 1e153, 1.0, 1.0)).t_obs < 1.34e154
+
     def test_unsupported_input_type(self):
         with pytest.raises(ValidationError):
             derive_stats({"n_x": 3})

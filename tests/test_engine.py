@@ -497,6 +497,26 @@ class TestReciprocity:
         assert get_bf(replace(res, log_bf=-800.0)) == 0.0
 
 
+class TestIntegrandPieces:
+    def test_prior_rows_are_the_cauchy_density(self, monkeypatch):
+        # the integrand's prior rows, normalized once per study, against the
+        # density evaluated afresh at each scale: equal bit for bit
+        monkeypatch.setattr(specfun, "noncentral_t_logpdf", lambda t, df, ncp: 0.0)
+        scales = np.geomspace(1e-3, 1e3, 10).tolist()
+        joint, _ = engine_module._log_joint(derive_stats(STUDY_51), 1.0, scales)
+        delta = np.array([-1e200, -3.0, -1e-300, 0.0, 0.25, 1.0, 7.5, 1e200])
+        rows = joint(delta)
+        assert rows.shape == (10, delta.size)
+        for scale, row in zip(scales, rows):
+            assert row.tolist() == specfun.cauchy_logpdf(delta, scale).tolist()
+
+    @pytest.mark.parametrize("pieces", [
+        [-3.5], [0.0, 1.0], [1.0, -2.5e3], [-7.25, -7.25], [-math.inf, 4.0], [4.0, -math.inf],
+        [-math.inf, -math.inf], [math.inf, 2.0], [-1e300, 1e-300], [709.0, 709.0 + 1e-13]])
+    def test_log_sum_is_numpys_logaddexp(self, pieces):
+        assert engine_module._log_sum(pieces) == float(np.logaddexp.reduce(pieces))
+
+
 class TestPriorSweep:
     def test_singleton_matches_single_run(self):
         spec = TestSpec.superiority()
@@ -552,6 +572,11 @@ class TestPriorSweep:
         sweep = prior_sweep(degenerate, spec, [0.5, 1.0])
         assert [e.error for e in sweep.entries] == [str(exc.value)] * 2
         assert sweep.min_log_bf is None
+        # nor can a t statistic whose square overflows (t = 2.2e160)
+        tiny_sds = SummaryMoments(10, 10, 0.0, 1.0, 1e-160, 1e-160)
+        sweep = prior_sweep(tiny_sds, spec, [0.5, 1.0, 2.0])
+        assert all("t^2 must be finite" in e.error for e in sweep.entries)
+        assert sweep.max_log_bf is None
 
     def test_unconverged_scale_is_isolated(self, monkeypatch):
         # an integrable singularity in the last scale's row, under a capped

@@ -176,7 +176,8 @@ class TestNoncentralT:
     @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 38.0, 396.0, 2e4, 2e5, 2e6,
                                     2e7, 2e8, 2e9])
     def test_wide_domain_against_mpmath(self, df):
-        """Both signs and every scale of the reduced noncentrality a.
+        """Both signs and every scale of the reduced noncentrality a, down to
+        a = -1e50, where ln f is ~-5e99.
 
         Besides fixed a, the targets hold 1e-6 either side of a_b, where the
         integrand's mode in v, x (x - a) = df, lies W = sqrt(120) + 12
@@ -187,8 +188,8 @@ class TestNoncentralT:
         for the kernel's own window: its worst-case modes, and 1e-6 either
         side of its switch c + x^2 = _LEFT^2.
         """
-        targets = [-1e3, -5.0, 0.0, 1e-300, 0.999e-3, 1.001e-3, 0.5, 10.0, 39.99, 40.01,
-                   300.0, 1e3]
+        targets = [-1e50, -1e20, -1e15, -1e3, -5.0, 0.0, 1e-300, 0.999e-3, 1.001e-3, 0.5, 10.0,
+                   39.99, 40.01, 300.0, 1e3]
         w2 = (math.sqrt(120.0) + 12.0) ** 2
         if df < w2:
             x_b = math.sqrt(w2 - df)
@@ -305,11 +306,17 @@ class TestNoncentralT:
             assert np.all(vals < -1e100), df
 
     def test_broadcast_and_chunking(self):
-        ncp = np.linspace(-30, 30, 5000)
+        # three 2048-row passes, and points past the overflow horizon
+        ncp = np.concatenate([np.linspace(-30, 30, 5000), [-1e300, 1e300]])
         out = noncentral_t_logpdf(1.0, 12.0, ncp)
         assert out.shape == ncp.shape
-        spot = [noncentral_t_logpdf(1.0, 12.0, float(v)) for v in ncp[::1000]]
-        np.testing.assert_allclose(out[::1000], spot, rtol=1e-14)
+        assert out[-2:].tolist() == [-math.inf, -math.inf]
+        # a scalar t, the same t as an array and one point at a time agree bit for bit
+        assert np.array_equal(noncentral_t_logpdf(np.full(ncp.shape, 1.0), 12.0, ncp), out)
+        assert np.array_equal(noncentral_t_logpdf(np.ones((2, 1)), 12.0, ncp), [out, out])
+        spot = [noncentral_t_logpdf(1.0, 12.0, float(v)) for v in ncp[::1000].tolist() + [1e300]]
+        assert spot == out[::1000].tolist() + [-math.inf]
+        assert isinstance(spot[0], float)
 
     def test_domain(self):
         with pytest.raises(DomainError):
