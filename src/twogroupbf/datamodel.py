@@ -38,8 +38,19 @@ __all__ = [
 # low end so the inversion stays well conditioned.
 _CI_MIN_DF = 3
 
-# the largest |t| whose square is finite, ~1.34e154
-_MAX_ABS_T = math.sqrt(sys.float_info.max)
+
+def _max_abs_t(df: float) -> float:
+    """The largest |t| whose likelihood is computed right at ``df`` degrees
+    of freedom: 1.3e153 at df 2, 9.6e152 at df 38, ~1.3e154 / sqrt(df) for
+    large df.
+
+    The density forms ncp^2 df, which overflows once ncp^2 df passes the
+    float range.  For a huge t the likelihood in ncp follows t S with
+    S^2 ~ chi^2_df / df, so it lies within e^-40 of its peak only while
+    ncp^2 df <= t^2 q, q the e^-40 quantile of chi^2_df; Laurent and
+    Massart's bound q <= df + 2 sqrt(40 df) + 80 keeps all of that finite.
+    """
+    return math.sqrt(sys.float_info.max / (df + 2.0 * math.sqrt(40.0 * df) + 80.0))
 
 
 class ValidationError(ValueError):
@@ -201,13 +212,15 @@ def derive_stats(data: StudyInput) -> DerivedStats:
     n_x, n_y = data.n_x, data.n_y
     se = sd * math.sqrt(1.0 / n_x + 1.0 / n_y)
     t_obs = (data.mean_y - data.mean_x) / se if se > 0.0 else math.inf
-    if not math.isfinite(t_obs * t_obs):  # the likelihood needs t^2
+    df = float(n_x + n_y - 2)
+    limit = _max_abs_t(df)
+    if not abs(t_obs) <= limit:
         raise ValidationError(
-            f"the t statistic (mean_y - mean_x) / SE = {t_obs!r} is too large: t^2 must be "
-            f"finite, |t| <= {_MAX_ABS_T:.3g} (mean_x = {data.mean_x!r}, "
+            f"the t statistic (mean_y - mean_x) / SE = {t_obs!r} is too large: the likelihood "
+            f"at df {df:g} is computed for |t| <= {limit:.3g} (mean_x = {data.mean_x!r}, "
             f"mean_y = {data.mean_y!r}, SE = {se!r})")
     return DerivedStats(
-        df=float(n_x + n_y - 2),
+        df=df,
         sd_pooled=sd,
         n_eff=n_x * n_y / (n_x + n_y),
         t_obs=t_obs,

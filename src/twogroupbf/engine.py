@@ -62,7 +62,6 @@ DEFAULT_PRIOR_SCALE = 1.0 / math.sqrt(2.0)
 _MIN_REGION_PRIOR_MASS = 1e-15
 
 _WHOLE_LINE = Interval(-math.inf, math.inf)
-_LN2 = math.log(2.0)
 
 Design = Literal["superiority", "non_inferiority", "equivalence"]
 Direction = Literal["high", "low"]
@@ -218,13 +217,14 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     of delta, with one row per prior scale (the likelihood is evaluated
     once per delta), and the (delta, width) features it has: the
     likelihood's peak near t / sqrt(n_eff) and the prior spike at 0."""
-    sqrt_n, df = math.sqrt(stats.n_eff), stats.df
-    prior = specfun.frozen_cauchy_logpdf(np.asarray(scales, dtype=float)[:, None])
+    sqrt_n = math.sqrt(stats.n_eff)
+    column = np.asarray(scales, dtype=float)[:, None]
 
     def joint(delta):
         with np.errstate(over="ignore"):  # ncp past the float range is +-inf
             ncp = delta * sqrt_n
-        return specfun.noncentral_t_logpdf(t, df, ncp) + prior(delta)
+        return (specfun.noncentral_t_logpdf(t, stats.df, ncp)
+                + specfun.cauchy_logpdf(delta, column))
 
     # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df))
     peak = (t / sqrt_n, math.hypot(1.0, t / math.sqrt(2.0 * stats.df)) / sqrt_n)
@@ -322,21 +322,6 @@ def _log_prior_masses(hyp: _Layout, prior: CauchyPrior) -> list:
     return log_prior
 
 
-def _log_sum(values: Sequence[float]) -> float:
-    """ln of the sum of exp(values), bit for bit as np.logaddexp.reduce, for
-    the few pieces of one hypothesis: numpy's per-call cost exceeds the work."""
-    total = values[0]
-    for v in values[1:]:  # numpy's npy_logaddexp, through the same libm exp and log1p
-        d = total - v
-        if total == v:  # equal infinities too
-            total = total + _LN2
-        elif d > 0.0:
-            total = total + math.log1p(math.exp(-d))
-        else:  # d <= 0, or NaN
-            total = v + math.log1p(math.exp(d))
-    return float(total)
-
-
 def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
               scales: Sequence[float]) -> list:
     """The Bayes factor of ``spec``'s table row at each prior scale, from
@@ -372,8 +357,8 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
                     f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
                     log_m.best_log_estimate, log_m.log_error_bound)
                 continue
-            log_avg = [(log_point if pieces is None else _log_sum([log_m[k] for k in pieces]))
-                       - log_p
+            log_avg = [(log_point if pieces is None
+                        else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
                        for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]
             log_bf10 = log_avg[0] - log_avg[1]
             if not math.isfinite(log_bf10):

@@ -21,7 +21,6 @@ __all__ = [
     "central_t_logpdf",
     "noncentral_t_logpdf",
     "cauchy_logpdf",
-    "frozen_cauchy_logpdf",
     "student_t_quantile",
     "student_t_cdf",
 ]
@@ -85,25 +84,15 @@ def cauchy_logpdf(x, scale):
 
     Broadcasts over ``x`` and ``scale``.
     """
-    return frozen_cauchy_logpdf(scale)(x)
-
-
-def frozen_cauchy_logpdf(scale):
-    """cauchy_logpdf with ``scale`` fixed, as a function of ``x`` alone: the
-    scales are checked and their normalizers taken once, not per call."""
     scale = np.asarray(scale, dtype=float)
     scales = scale.ravel().tolist()
     if not all(s > 0.0 for s in scales):
         raise DomainError("cauchy_logpdf requires scale > 0")
+    z = np.asarray(x, dtype=float) / scale
     # libm's log for the normalizer, whose last bit numpy's log may not match
     neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
-
-    def logpdf(x):
-        z = np.asarray(x, dtype=float) / scale
-        with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
-            return neg_log_norm - np.log1p(z * z)
-
-    return logpdf
+    with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
+        return neg_log_norm - np.log1p(z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +167,9 @@ def _window(c, x2):
     k <= 1/e, so the left end is continuous across that switch.
     """
     k = _RIGHT / np.sqrt(c + x2)
-    left = -k / np.maximum(1.0 - (math.e - 1.0) * k, k)
-    if c / math.e <= _TAIL:  # else r - c/e < 0 for every mode, and w = 0
-        r = _TAIL - _Q * _Q * x2 / 2.0
-        left = left - np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
-    return left, k
+    r = _TAIL - _Q * _Q * x2 / 2.0
+    w = np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
+    return -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w, k
 
 
 def _worst_modes(c):
@@ -268,9 +255,10 @@ def noncentral_t_logpdf(t, df, ncp):
         # the a = 0 row, ln I(0), rides in the same trapezoid pass
         log_i = _log_hh(df, np.concatenate(([0.0], ncp * t / np.sqrt(big_a)), axis=None))
         out = _central_t(t, df) - gauss + (log_i[1:].reshape(gauss.shape) - log_i[0])
-    # a point where t^2 or ncp^2 df overflows, beyond the horizon where the
-    # density is zero in any scale, ends as -inf or nan (every other point
-    # is finite): fmax turns nan into -inf
+    # a point where t^2 or ncp^2 df overflows ends as -inf or nan (every
+    # other point is finite), and fmax turns nan into -inf: a density that
+    # is zero in any scale so long as the peak's own ncp^2 df is finite,
+    # which datamodel's limit on |t| keeps
     out = np.fmax(out, -math.inf)
     return float(out) if out.ndim == 0 else out
 

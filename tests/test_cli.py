@@ -29,6 +29,9 @@ TINY_CI_MARGIN = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mea
 # t = 2.2e160 from moments
 TINY_SDS = ["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0", "--mean-y", "1",
             "--sd-x", "1e-160", "--sd-y", "1e-160"]
+# t = 1e152 at df 2e6, whose ncp^2 df overflows at the likelihood's peak
+HUGE_N_TINY_SDS = ["super", "--n-x", "1000000", "--n-y", "1000000", "--mean-x", "0",
+                   "--mean-y", "1", "--sd-x", "1e-149", "--sd-y", "1e-149"]
 # n 50/50, d = 0.3; every node past a standardized margin of 1e307 is past the float range
 FAR_MARGIN = ["--n-x", "50", "--n-y", "50", "--mean-x", "0", "--mean-y", "0.3",
               "--sd-x", "1", "--sd-y", "1", "--prior-scale", "1e307"]
@@ -436,12 +439,15 @@ class TestValidationAndExitCodes:
         assert rc == 2
         assert "mean_x = -1e+308, mean_y = 1e+308" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("args", [TINY_CI_MARGIN, TINY_SDS])
-    def test_t_statistic_whose_square_overflows_exits_2(self, args, capsys):
+    @pytest.mark.parametrize("args, limit", [
+        (TINY_CI_MARGIN, "at df 38 is computed for |t| <= 9.58e+152"),
+        (TINY_SDS, "at df 18 is computed for |t| <= 1.09e+153"),
+        (HUGE_N_TINY_SDS, "at df 2e+06 is computed for |t| <= 9.44e+150")])
+    def test_t_statistic_past_the_limit_exits_2(self, args, limit, capsys):
         rc = parse_and_run(args)
         captured = capsys.readouterr()
         assert rc == 2
-        assert "t^2 must be finite, |t| <= 1.34e+154" in captured.err and captured.out == ""
+        assert f"is too large: the likelihood {limit}" in captured.err and captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
     def test_ci_level_next_to_one(self, capsys):

@@ -11,6 +11,7 @@ from twogroupbf.datamodel import (
     SummaryCi,
     SummaryMoments,
     ValidationError,
+    _max_abs_t,
     derive_stats,
     pooled_sd,
     sd_from_ci,
@@ -173,14 +174,20 @@ class TestValidation:
                 SummaryCi(n_x, n_y, 0.0, 1.0, ci_margin=0.5)
         assert SummaryMoments(10.0, 12, 0.0, 1.0, 1.0, 1.0).n_x == 10
 
-    def test_t_statistic_whose_square_overflows(self):
-        # t = 2.2e160 from moments, 1e300 from a CI: the likelihood needs t^2
+    def test_t_statistic_past_the_limit(self):
+        # t = 2.2e160 from moments, 1e300 from a CI, and t = 2e153 at n 20/20,
+        # whose square is finite but whose ncp^2 df overflows at the peak
         for data in (SummaryMoments(10, 10, 0.0, 1.0, 1e-160, 1e-160),
-                     SummaryCi(20, 20, 0.0, 0.5, ci_margin=1e-300)):
-            with pytest.raises(ValidationError, match=r"t\^2 must be finite"):
+                     SummaryCi(20, 20, 0.0, 0.5, ci_margin=1e-300),
+                     SummaryMoments(20, 20, 0.0, 2e153 * math.sqrt(0.1), 1.0, 1.0)):
+            with pytest.raises(ValidationError, match="t statistic .* is too large"):
                 derive_stats(data)
-        # t = 2.2e153: its square is finite
-        assert derive_stats(SummaryMoments(10, 10, 0.0, 1e153, 1.0, 1.0)).t_obs < 1.34e154
+        # the limit falls with df: 1.34e153 at df 2, 9.58e152 at df 38
+        assert _max_abs_t(2.0) == pytest.approx(1.342e153, rel=1e-3)
+        assert _max_abs_t(38.0) == pytest.approx(9.58e152, rel=1e-3)
+        t = 0.999 * _max_abs_t(38.0)
+        assert derive_stats(SummaryMoments(20, 20, 0.0, t * math.sqrt(0.1), 1.0, 1.0)).t_obs == (
+            pytest.approx(t, rel=1e-12))
 
     def test_unsupported_input_type(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,13 @@ from conftest import random_moments
 from twogroupbf import engine as engine_module
 from twogroupbf import quadrature as quadrature_module
 from twogroupbf import specfun
-from twogroupbf.datamodel import SummaryCi, SummaryMoments, ValidationError, derive_stats
+from twogroupbf.datamodel import (
+    SummaryCi,
+    SummaryMoments,
+    ValidationError,
+    _max_abs_t,
+    derive_stats,
+)
 from twogroupbf.engine import (
     DEFAULT_PRIOR_SCALE,
     CauchyPrior,
@@ -191,6 +197,23 @@ class TestHugeT:
         for t in HUGE_T:
             assert self._at(t, "one_sided") - self._at(t, "two_sided") == pytest.approx(
                 math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 20, 5000, 1_000_000])
+    def test_law_holds_up_to_the_limit_on_t(self, n):
+        # just inside _max_abs_t the likelihood's peak is still in the float
+        # range at every df; just past it the input is refused
+        def log_bf_less_law(t):
+            sd = 1.0 / (t * math.sqrt(2.0 / n))
+            data = SummaryMoments(n, n, 0.0, 1.0, sd, sd)
+            stats = derive_stats(data)
+            log_bf = super_bf(data, TestSpec.superiority()).log_bf
+            return log_bf - (stats.df - 1.0) * math.log(stats.t_obs)
+
+        limit = _max_abs_t(2.0 * n - 2.0)
+        c = log_bf_less_law(1e12)
+        assert log_bf_less_law(0.999999 * limit) == pytest.approx(c, abs=1e-6)
+        with pytest.raises(ValidationError, match="is too large"):
+            log_bf_less_law(1.000001 * limit)
 
 
 class TestNonInferiority:
@@ -497,26 +520,6 @@ class TestReciprocity:
         assert get_bf(replace(res, log_bf=-800.0)) == 0.0
 
 
-class TestIntegrandPieces:
-    def test_prior_rows_are_the_cauchy_density(self, monkeypatch):
-        # the integrand's prior rows, normalized once per study, against the
-        # density evaluated afresh at each scale: equal bit for bit
-        monkeypatch.setattr(specfun, "noncentral_t_logpdf", lambda t, df, ncp: 0.0)
-        scales = np.geomspace(1e-3, 1e3, 10).tolist()
-        joint, _ = engine_module._log_joint(derive_stats(STUDY_51), 1.0, scales)
-        delta = np.array([-1e200, -3.0, -1e-300, 0.0, 0.25, 1.0, 7.5, 1e200])
-        rows = joint(delta)
-        assert rows.shape == (10, delta.size)
-        for scale, row in zip(scales, rows):
-            assert row.tolist() == specfun.cauchy_logpdf(delta, scale).tolist()
-
-    @pytest.mark.parametrize("pieces", [
-        [-3.5], [0.0, 1.0], [1.0, -2.5e3], [-7.25, -7.25], [-math.inf, 4.0], [4.0, -math.inf],
-        [-math.inf, -math.inf], [math.inf, 2.0], [-1e300, 1e-300], [709.0, 709.0 + 1e-13]])
-    def test_log_sum_is_numpys_logaddexp(self, pieces):
-        assert engine_module._log_sum(pieces) == float(np.logaddexp.reduce(pieces))
-
-
 class TestPriorSweep:
     def test_singleton_matches_single_run(self):
         spec = TestSpec.superiority()
@@ -572,10 +575,10 @@ class TestPriorSweep:
         sweep = prior_sweep(degenerate, spec, [0.5, 1.0])
         assert [e.error for e in sweep.entries] == [str(exc.value)] * 2
         assert sweep.min_log_bf is None
-        # nor can a t statistic whose square overflows (t = 2.2e160)
+        # nor can a t statistic past the limit on |t| (t = 2.2e160)
         tiny_sds = SummaryMoments(10, 10, 0.0, 1.0, 1e-160, 1e-160)
         sweep = prior_sweep(tiny_sds, spec, [0.5, 1.0, 2.0])
-        assert all("t^2 must be finite" in e.error for e in sweep.entries)
+        assert all("is too large" in e.error for e in sweep.entries)
         assert sweep.max_log_bf is None
 
     def test_unconverged_scale_is_isolated(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -310,13 +311,26 @@ class TestNoncentralT:
         ncp = np.concatenate([np.linspace(-30, 30, 5000), [-1e300, 1e300]])
         out = noncentral_t_logpdf(1.0, 12.0, ncp)
         assert out.shape == ncp.shape
-        assert out[-2:].tolist() == [-math.inf, -math.inf]
+        assert out[-2:].tolist() == [-math.inf, -math.inf] and np.all(np.isfinite(out[:-2]))
         # a scalar t, the same t as an array and one point at a time agree bit for bit
         assert np.array_equal(noncentral_t_logpdf(np.full(ncp.shape, 1.0), 12.0, ncp), out)
         assert np.array_equal(noncentral_t_logpdf(np.ones((2, 1)), 12.0, ncp), [out, out])
         spot = [noncentral_t_logpdf(1.0, 12.0, float(v)) for v in ncp[::1000].tolist() + [1e300]]
         assert spot == out[::1000].tolist() + [-math.inf]
         assert isinstance(spot[0], float)
+
+    def test_finite_inside_the_overflow_horizon(self):
+        # every point whose t^2 and ncp^2 df are finite has a finite density:
+        # only a point past that horizon may read as a density of zero
+        root_max = math.sqrt(sys.float_info.max)
+        for df in (1.0, 2.0, 38.0, 2e5, 2e9):
+            top = math.log10(0.999 * root_max / math.sqrt(df))
+            ncp = np.array([10.0 ** e for e in np.linspace(-300.0, top, 80)])
+            ncp = np.concatenate([-ncp, [0.0], ncp])
+            for t in (-0.999 * root_max, -1e150, -3.0, -1e-300, 0.0, 1e-300, 2.0, 1e20,
+                      0.999 * root_max):
+                out = noncentral_t_logpdf(t, df, ncp)
+                assert np.all(np.isfinite(out)), (df, t, ncp[~np.isfinite(out)])
 
     def test_domain(self):
         with pytest.raises(DomainError):
