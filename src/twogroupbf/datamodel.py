@@ -38,6 +38,9 @@ __all__ = [
 # low end so the inversion stays well conditioned.
 _CI_MIN_DF = 3
 
+# the horizon below a likelihood's peak past which it is negligible: e^-40
+HORIZON_NATS = 40.0
+
 
 def _max_abs_t(df: float) -> float:
     """The largest |t| whose likelihood is computed right at ``df`` degrees
@@ -46,11 +49,13 @@ def _max_abs_t(df: float) -> float:
 
     The density forms ncp^2 df, which overflows once ncp^2 df passes the
     float range.  For a huge t the likelihood in ncp follows t S with
-    S^2 ~ chi^2_df / df, so it lies within e^-40 of its peak only while
-    ncp^2 df <= t^2 q, q the e^-40 quantile of chi^2_df; Laurent and
-    Massart's bound q <= df + 2 sqrt(40 df) + 80 keeps all of that finite.
+    S^2 ~ chi^2_df / df, so it lies within e^-T of its peak (T =
+    HORIZON_NATS = 40) only while ncp^2 df <= t^2 q, q the e^-T quantile of
+    chi^2_df; Laurent and Massart's bound q <= df + 2 sqrt(T df) + 2 T keeps
+    all of that finite.
     """
-    return math.sqrt(sys.float_info.max / (df + 2.0 * math.sqrt(40.0 * df) + 80.0))
+    return math.sqrt(sys.float_info.max
+                     / (df + 2.0 * math.sqrt(HORIZON_NATS * df) + 2.0 * HORIZON_NATS))
 
 
 class ValidationError(ValueError):

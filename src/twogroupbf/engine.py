@@ -28,6 +28,7 @@ import numpy as np
 
 from . import specfun
 from .datamodel import (
+    HORIZON_NATS,
     DerivedStats,
     RawGroups,
     StudyInput,
@@ -215,8 +216,19 @@ _INPUT_MODES = ((RawGroups, "raw"), (SummaryMoments, "summary-moments"), (Summar
 def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     """ln of likelihood times prior density, as a function of a 1-D array
     of delta, with one row per prior scale (the likelihood is evaluated
-    once per delta), and the (delta, width) features it has: the
-    likelihood's peak near t / sqrt(n_eff) and the prior spike at 0."""
+    once per delta), and the features it has: the likelihood's peak near
+    t / sqrt(n_eff), as (delta, width, reach), and the prior spike at 0,
+    as (delta, width).
+
+    For fixed t, ln f = -ncp^2 / 2 + ln Z(ncp t / sqrt(t^2 + df)), with Z
+    the partition function of v^df e^(a v - v^2 / 2) on v > 0.  That
+    density is strongly log-concave, so its variance is at most 1
+    (Brascamp-Lieb), and ln f is concave in ncp with curvature in
+    [df / (df + t^2), 1].  So ln f has fallen HORIZON_NATS (T) below its
+    peak by sqrt(2 T (1 + t^2 / df)) in ncp from it, and the peak lies
+    within the feature's width of t: their sum is the reach.  The
+    heavy-tailed prior spike has none.
+    """
     sqrt_n = math.sqrt(stats.n_eff)
     column = np.asarray(scales, dtype=float)[:, None]
 
@@ -226,8 +238,11 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
         return (specfun.noncentral_t_logpdf(t, stats.df, ncp)
                 + specfun.cauchy_logpdf(delta, column))
 
-    # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df))
-    peak = (t / sqrt_n, math.hypot(1.0, t / math.sqrt(2.0 * stats.df)) / sqrt_n)
+    # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df)); its
+    # peak lies within that of t
+    width = math.hypot(1.0, t / math.sqrt(2.0 * stats.df))
+    reach = width + math.sqrt(2.0 * HORIZON_NATS) * math.hypot(1.0, t / math.sqrt(stats.df))
+    peak = (t / sqrt_n, width / sqrt_n, reach / sqrt_n)
     return joint, (peak, (0.0, min(scales)))
 
 

@@ -11,16 +11,18 @@ Every region goes through one change of variables, x = s tan(u), with s
 spanning every point the caller names (features, cuts and finite ends):
 each of them then sits at |u| <= pi/4, where x keeps full relative
 precision at any magnitude, and an infinite end is u = +-pi/2.  The
-initial panels of each piece cluster geometrically around the (x, width)
-features, down to each feature's width, so that sharp peaks are resolved
-from the first pass.  The integrand is then called once for all initial
-panels and once per refinement round for all the panels it bisects (as
-SciPy's ``quad_vec`` refines many intervals at a time).  All rows share
-every panel, and each row converges on its own.
+initial panels of each piece cluster geometrically around the features,
+down to each feature's width, so that sharp peaks are resolved from the
+first pass, and out no further than a light-tailed feature's reach, past
+which it is negligible.  The integrand is then called once for all
+initial panels and once per refinement round for all the panels it
+bisects (as SciPy's ``quad_vec`` refines many intervals at a time).  All
+rows share every panel, and each row converges on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,7 +89,7 @@ _GK15 = (
 
 _NODES = np.array([row[0] for row in _GK15])
 _LOG_WK = np.log(np.array([row[1] for row in _GK15]))
-_GAUSS_MASK = np.array([row[2] > 0.0 for row in _GK15])
+_GAUSS_NODES = np.flatnonzero([row[2] > 0.0 for row in _GK15])
 _LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))
 
 # narrowest panel with 15 distinct nodes, relative to its place in u; at
@@ -103,8 +105,8 @@ def _panels(g, f, lo, hi):
     half = (hi - lo) / 2.0
     x = (_NODES + 1.0) * half[:, None] + lo[:, None]
     fx = np.asarray(g(x.ravel(), f), dtype=float).reshape(-1, *x.shape)
-    bad = np.isnan(fx) | (fx == math.inf)
-    if bad.any():
+    if not (fx < math.inf).all():  # NaN or +inf somewhere
+        bad = np.isnan(fx) | (fx == math.inf)
         i = int(np.argmax(bad.any(axis=(0, 2))))
         raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
                               _NEG_INF, math.inf)
@@ -114,25 +116,34 @@ def _panels(g, f, lo, hi):
     m = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         sum_k = np.exp(fx + _LOG_WK - m[..., None]).sum(axis=2)
-        sum_g = np.exp(fx[..., _GAUSS_MASK] + _LOG_WG - m[..., None]).sum(axis=2)
+        sum_g = np.exp(fx.take(_GAUSS_NODES, axis=2) + _LOG_WG - m[..., None]).sum(axis=2)
         log_scale = m + np.log(half)
         return np.log(sum_k) + log_scale, np.log(np.abs(sum_k - sum_g)) + log_scale, top
 
 
 def _initial_breakpoints(seeds, lo: float, hi: float) -> list:
     """Breakpoints of (lo, hi) clustered geometrically around each (u,
-    width) seed, clipped into it: at u +- span/2, span/4, ... down to the
-    seed's width there, but not below the grain of u."""
+    width, reach below, reach above) seed, clipped into it: at u +- span/2,
+    span/4, ... down to the seed's width there, but not below the grain of
+    u.  On each side of a seed inside (lo, hi) the ladder starts at the
+    first level at or past its reach; a seed clipped to an edge keeps it
+    all."""
     span = hi - lo
     points = {lo, hi}
-    for u, width in seeds:
+    for u, width, below, above in seeds:
         mode = min(max(u, lo), hi)
         # a peak clipped to an edge falls off there over width^2 / distance
         far = abs(u - mode)
         stop = max(width * width / far if far > width else width, _GRAIN * abs(mode))
+        if far:
+            below = above = math.inf
         step = span / 2.0
         while step > stop:
-            points.update(p for p in (mode - step, mode + step) if lo < p < hi)
+            # the level below 2 * reach is the first one at or past it
+            if lo < mode - step and step < 2.0 * below:
+                points.add(mode - step)
+            if mode + step < hi and step < 2.0 * above:
+                points.add(mode + step)
             step /= 2.0
         points.add(mode)  # at an end of (lo, hi) it is there already
     return sorted(points)
@@ -171,9 +182,19 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
     integrands); a 1-D return is one row.  Increasing interior ``cuts``
     split the region into pieces, integrated in one pass with a breakpoint
     forced at every cut (as QUADPACK's QAGP does).  Each piece starts from
-    panels clustered around every (x, width) pair in ``features``, clipped
-    into it: the peaks and spikes of the rows.  A structure no node sees
-    can be missed; without features, each piece starts as one panel.
+    panels clustered around every feature in ``features``, clipped into
+    it: the peaks and spikes of the rows.  A feature is ``(x, width)`` or
+    ``(x, width, reach)``.  Its breakpoints lie at x +- span/2, span/4, ...
+    of the piece in the mapped variable, down to its width.  A reach is a
+    distance from x past which the feature is negligible (a light tail);
+    on each side of a feature that lies inside the piece, the ladder then
+    starts at the first level at or past the reach there, converted
+    through the map itself.  A feature clipped to a piece's edge (or into
+    the region) keeps its full ladder: the piece's mass lies at that edge,
+    in the feature's tail, however far down its peak that is.  So does a
+    pair, which a heavy tail needs: 2 / (pi K) of a Cauchy's mass lies
+    beyond K widths.  A structure no node sees can be missed; without
+    features, each piece starts as one panel.
 
     The result holds one entry per row: a list of that row's log integrals
     per piece, in increasing x (one entry when there are no cuts), or, for
@@ -197,8 +218,13 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
     # region, the cuts, the finite ends) at |u| <= pi/4; s >= 1 keeps
     # x = tan(u) where nothing named lies beyond 1
     x_edges = [region.lower, *cuts, region.upper]
-    named = [(min(max(float(x), region.lower), region.upper), float(w)) for x, w in features]
-    s = max([1.0, *(abs(x) for x in x_edges + [x for x, _ in named] if math.isfinite(x))])
+    named = []
+    for x, w, *reach in features:
+        x = float(x)
+        clipped = min(max(x, region.lower), region.upper)
+        # a reach counts only from a feature inside the region
+        named.append((clipped, float(w), float(reach[0]) if reach and clipped == x else math.inf))
+    s = max([1.0, *(abs(x) for x in x_edges + [x for x, _, _ in named] if math.isfinite(x))])
     log_s = math.log(s)
 
     def g(u, f):
@@ -213,9 +239,14 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
                               "the region's ends at double precision", _NEG_INF, math.inf)
     pieces = len(edges) - 1
 
-    # each feature in u, its width times du/dx = cos(u)^2 / s; all initial
-    # panels go in one call
-    seeds = [(u, w * math.cos(u) ** 2 / s) for u, w in ((math.atan(x / s), w) for x, w in named)]
+    # each feature in u, its width times du/dx = cos(u)^2 / s, and its reach
+    # on either side through the map itself; all initial panels go in one call
+    seeds = []
+    for x, w, reach in named:
+        u = math.atan(x / s)
+        below, above = ((u - math.atan((x - reach) / s), math.atan((x + reach) / s) - u)
+                        if reach < math.inf else (math.inf, math.inf))
+        seeds.append((u, w * math.cos(u) ** 2 / s, below, above))
     breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(edges[:-1], edges[1:])]
     counts = [len(br) - 1 for br in breaks]
     owner = np.repeat(np.arange(pieces), counts)
@@ -225,7 +256,7 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
 
     # each (row, piece) pair's log shift, which makes the linear-scale
     # floor meaningful: the maximum over its initial panels' nodes
-    shifts = np.maximum.reduceat(top, np.cumsum([0, *counts[:-1]]), axis=1)
+    shifts = np.maximum.reduceat(top, [0, *itertools.accumulate(counts[:-1])], axis=1)
 
     log_abs_floor = math.log(_ABS_TOL_LOG)
     log_rel = math.log(_REL_TOL)

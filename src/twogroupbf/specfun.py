@@ -71,8 +71,14 @@ def central_t_logpdf(t, df):
 def _central_t(t, df):
     """central_t_logpdf for a float array ``t`` and a valid ``df``, under the
     caller's errstate."""
+    q = t * t / df
+    log1p_q = np.log1p(q)
+    if not (q < math.inf).all():  # t^2 / df past the float range, but not its log
+        with np.errstate(all="ignore"):  # at t = 0 it is nan, and not taken
+            log_q = 2.0 * np.log(np.abs(t)) - math.log(df) + np.log1p(df / (t * t))
+        log1p_q = np.where(np.isinf(q), log_q, log1p_q)
     return (_log_gamma_half_ratio(df / 2.0) - 0.5 * (math.log(df) + LN_PI)
-            - ((df + 1.0) / 2.0) * np.log1p(t * t / df))
+            - ((df + 1.0) / 2.0) * log1p_q)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from twogroupbf import engine as engine_module
 from twogroupbf import quadrature as quadrature_module
 from twogroupbf import specfun
 from twogroupbf.datamodel import (
+    HORIZON_NATS,
+    DerivedStats,
     SummaryCi,
     SummaryMoments,
     ValidationError,
@@ -214,6 +216,109 @@ class TestHugeT:
         assert log_bf_less_law(0.999999 * limit) == pytest.approx(c, abs=1e-6)
         with pytest.raises(ValidationError, match="is too large"):
             log_bf_less_law(1.000001 * limit)
+
+
+def _megatrial(n, t):
+    """Equal groups of n with unit sds and t statistic t."""
+    return SummaryMoments(n, n, 0.0, t * math.sqrt(2.0 / n), 1.0, 1.0)
+
+
+class TestLikelihoodReach:
+    """The likelihood's reach trims the panels around its peak and nothing
+    else: every Bayes factor matches the one from the full ladder, an
+    unbounded reach, to 1e-12 relative."""
+
+    @staticmethod
+    def _with_and_without(monkeypatch, compute):
+        """compute()'s log BFs and density points, with the likelihood's reach
+        and then with an unbounded one."""
+        points = []
+        density = specfun.noncentral_t_logpdf
+        monkeypatch.setattr(specfun, "noncentral_t_logpdf",
+                            lambda t, df, ncp: points.append(np.size(ncp)) or density(t, df, ncp))
+        runs = []
+        for horizon in (HORIZON_NATS, math.inf):
+            monkeypatch.setattr(engine_module, "HORIZON_NATS", horizon)
+            points.clear()
+            runs.append((np.atleast_1d(compute()), sum(points)))
+        return runs
+
+    def _assert_unchanged(self, monkeypatch, compute):
+        (reach, reach_points), (full, full_points) = self._with_and_without(monkeypatch, compute)
+        assert np.all(np.abs(reach - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+        assert reach_points <= full_points
+        return reach_points, full_points
+
+    @pytest.mark.parametrize("df", [2.0, 38.0, 396.0, 2e4, 2e6])
+    def test_the_bound_the_reach_rests_on(self, df):
+        """ln f = -ncp^2 / 2 + ln Z(ncp t / sqrt(t^2 + df)) with Z strongly
+        log-concave, so in ncp ln f has curvature within [-1, -df / (df + t^2)];
+        its peak lies within the feature's width of t, so at t +- reach it has
+        fallen HORIZON_NATS below the peak."""
+        for t in (0.0, 2.0, -2.0, 25.0, -25.0, 1e3):
+            stats = DerivedStats(df=df, sd_pooled=1.0, n_eff=1.0, t_obs=t)  # delta = ncp
+            _, ((x, width, reach), _) = engine_module._log_joint(stats, t, [1.0])
+            assert x == t
+            ncp = t + reach * np.linspace(-1.5, 1.5, 601)
+            h = ncp[1] - ncp[0]
+            y = noncentral_t_logpdf(t, df, ncp)
+            second = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+            rounding = 64.0 * np.spacing(np.abs(y).max()) / (h * h)
+            assert second.min() >= -1.0 - rounding, (t, second.min())
+            assert second.max() <= -df / (df + t * t) + rounding, (t, second.max())
+            # concave, so the peak lies within h of the grid's best node
+            assert abs(ncp[y.argmax()] - t) <= width - h, (t, ncp[y.argmax()] - t, width)
+            ends = noncentral_t_logpdf(t, df, np.array([t - reach, t + reach]))
+            assert np.all(y.max() - ends >= HORIZON_NATS), (t, y.max() - ends)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000, 10_000_000, 100_000_000])
+    def test_megatrial_superiority(self, monkeypatch, n):
+        for t in (0.0, 3.0, -7.0, 25.0):
+            for alternative in ("two_sided", "one_sided"):
+                spec = TestSpec.superiority(alternative=alternative)
+                points = self._assert_unchanged(
+                    monkeypatch, lambda: super_bf(_megatrial(n, t), spec).log_bf)
+                if alternative == "two_sided":
+                    assert points[0] < points[1], (t, points)
+
+    @pytest.mark.parametrize("t", [-5.0, 5.0])
+    def test_non_inferiority_margin_inside_and_outside_the_reach(self, monkeypatch, t):
+        # the cut at -margin lies k reaches from the likelihood's peak, on
+        # whichever side of it the margin allows
+        n = 1_000_000
+        stats = derive_stats(_megatrial(n, t))
+        sqrt_n = math.sqrt(stats.n_eff)
+        _, ((_, _, reach), _) = engine_module._log_joint(stats, t, [1.0])
+        for k in (0.1, 0.5, 0.9, 1.1, 3.0, 1e3):
+            cut = t / sqrt_n + (k if t < 0.0 else -k) * reach
+            if cut > 0.0:
+                continue
+            spec = TestSpec.non_inferiority(-cut, standardized=True)
+            self._assert_unchanged(monkeypatch, lambda: infer_bf(_megatrial(n, t), spec).log_bf)
+
+    def test_equivalence_sweep_and_extreme_scales(self, monkeypatch):
+        data = _megatrial(1_000_000, 5.0)
+        for half_width in (0.001, 0.005, 0.02, 0.1):
+            spec = TestSpec.equivalence(half_width, standardized=True)
+            self._assert_unchanged(monkeypatch, lambda: equiv_bf(data, spec).log_bf)
+        spec = TestSpec.superiority()
+        scales = [0.1 * 100.0 ** (k / 9.0) for k in range(10)]
+        self._assert_unchanged(monkeypatch, lambda: [
+            e.result.log_bf for e in prior_sweep(data, spec, scales).entries])
+        for scale in (1e-6, 1e3):
+            self._assert_unchanged(monkeypatch, lambda: super_bf(data, spec, scale).log_bf)
+        for alternative in ("two_sided", "one_sided"):
+            self._assert_unchanged(monkeypatch, lambda: TestHugeT._at(1e12, alternative))
+
+    def test_fewer_points_on_a_megatrial_the_same_on_the_reference_study(self, monkeypatch):
+        spec = TestSpec.superiority()
+        (_, reach), (_, full) = self._with_and_without(
+            monkeypatch, lambda: super_bf(_megatrial(1_000_000, 3.0), spec).log_bf)
+        assert reach < 0.7 * full
+        spec = TestSpec.non_inferiority(1.0, direction="low")
+        (with_reach, reach), (without, full) = self._with_and_without(
+            monkeypatch, lambda: infer_bf(STUDY_47, spec).log_bf)
+        assert reach == full and with_reach.tolist() == without.tolist()
 
 
 class TestNonInferiority:

@@ -166,6 +166,63 @@ def test_spike_at_the_grain_of_the_tan_map():
     assert _one(f, Interval(-math.inf, math.inf), spike) == pytest.approx(exact, abs=1e-5)
 
 
+def test_reach_ends_the_ladder_at_its_first_level_past_it():
+    # a light-tailed feature's ladder stops, on each side, at the first level
+    # at or past its reach there; nearer levels all stay, and a reach past
+    # the piece keeps the side's full ladder
+    lo, hi, u, width = -1.5, 1.5, 0.3, 1e-6
+    full = quadrature._initial_breakpoints([(u, width, math.inf, math.inf)], lo, hi)
+    for below, above in ((1e-3, 1e-3), (2e-4, 5e-2), (3.0 * 2.0 ** -7, 3.0)):
+        kept = quadrature._initial_breakpoints([(u, width, below, above)], lo, hi)
+        assert set(kept) < set(full)
+        for side, reach in ((-1.0, below), (1.0, above)):
+            gone = [side * (p - u) for p in full if p not in kept]
+            near = [side * (p - u) for p in kept if lo < p < hi and side * (p - u) > 0.0]
+            if reach >= (hi - u if side > 0.0 else u - lo):
+                assert not [d for d in gone if d > 0.0]
+                continue
+            assert max(near) >= reach and max(near) / 2.0 < reach
+            assert all(d > max(near) for d in gone if d > 0.0)
+
+
+def test_reach_is_kept_only_for_a_feature_inside_the_piece():
+    # a feature clipped to a piece's edge, or into the region, falls off
+    # from that edge, where the piece's own mass lies: it keeps its full ladder
+    for u in (-2.0, 2.0):
+        assert (quadrature._initial_breakpoints([(u, 1e-6, 1e-3, 1e-3)], -1.5, 1.5)
+                == quadrature._initial_breakpoints([(u, 1e-6, math.inf, math.inf)], -1.5, 1.5))
+    f = lambda x: -0.5 * ((x - 0.3) / 1e-4) ** 2
+    for region, cuts in ((Interval(0.5, math.inf), ()), (Interval(-math.inf, math.inf), (0.2,))):
+        layouts = []
+        for feature in ((0.3, 1e-4), (0.3, 1e-4, 1e-3)):
+            xs = []
+            integrate_log(lambda x: xs.append(x) or f(x), region, cuts, [feature])
+            layouts.append(xs[0][xs[0] < (cuts or (math.inf,))[0]])
+        assert np.array_equal(*layouts)
+
+
+def test_reach_trims_panels_and_keeps_the_result():
+    # a Gaussian of sd w holds e^-40 of its peak at sqrt(80) w; past that
+    # its ladder only adds panels
+    for centre, w in ((0.3, 1e-4), (-2e5, 3.0), (1e17, 1e14)):
+        f = lambda x: -0.5 * ((x - centre) / w) ** 2
+        results, counts = [], []
+        for feature in ((centre, w), (centre, w, math.sqrt(80.0) * w)):
+            g, sizes = _recording(f)
+            results.append(_one(g, Interval(-math.inf, math.inf), [feature]))
+            counts.append(sizes[0])
+        assert results[1] == pytest.approx(results[0], rel=1e-14, abs=1e-14)
+        assert results[1] == pytest.approx(math.log(w * math.sqrt(2.0 * math.pi)), abs=1e-10)
+        assert counts[1] < counts[0]
+    # a pair and an unbounded reach lay out the same panels
+    f, spike, exact = _gaussian_spike(1e6, 37.25)
+    runs = []
+    for feature in (spike[0], (*spike[0], math.inf)):
+        g, sizes = _recording(f)
+        runs.append((_one(g, Interval(-math.inf, math.inf), [feature]), sizes))
+    assert runs[0] == runs[1]
+
+
 def _recording(f):
     """f, plus the list of array sizes it is called with."""
     sizes = []

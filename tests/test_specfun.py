@@ -105,6 +105,20 @@ class TestCentralT:
                 ref = const - (d + 1) / 2 * mpmath.log1p(mpmath.mpf(t) ** 2 / d)
                 assert abs(central_t_logpdf(t, df) - float(ref)) <= 1e-12
 
+    @pytest.mark.parametrize("df", [0.5, 0.9])
+    def test_df_below_one_at_huge_t(self, df):
+        # t^2 / df overflows first for df < 1, where ln f is still finite
+        for t in (1e154, 1e200, 1e300):
+            want = nct_logpdf_mpmath(t, df, 0.0)
+            for got in (central_t_logpdf(t, df), central_t_logpdf(-t, df),
+                        noncentral_t_logpdf(t, df, 0.0)):
+                assert got == pytest.approx(want, rel=1e-14)
+        # and continuous where t^2 / df reaches the float range: ln f falls
+        # as -(df + 1) ln t there
+        edge = math.sqrt(sys.float_info.max * df)
+        below, above = central_t_logpdf(np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]), df)
+        assert above - below == pytest.approx(-(df + 1.0) * 2e-9, rel=1e-3)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             central_t_logpdf(1.0, 0.0)
