@@ -30,63 +30,60 @@ from .report import (
 __all__ = ["parse_and_run", "read_raw_csv", "main"]
 
 
-class _CliError(Exception):
-    """Invocation problem surfaced with exit status 2."""
+def _open(path: str, **kwargs):
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"cannot read raw data file: {exc}") from exc
+
+
+def _number(path: str, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{path}:{lineno}: non-numeric value {text!r}") from None
 
 
 def read_raw_csv(path: str) -> RawGroups:
-    """Two-column CSV, header ``group,value``, group labels ``x`` and ``y``."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise _CliError(f"cannot read raw data file: {exc}") from exc
-    with handle:
+    """Two-column CSV, header ``group,value``, group labels ``x`` and ``y``.
+
+    A file that cannot be read raises ValidationError naming its path and line.
+    """
+    groups = {"x": [], "y": []}
+    with _open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise _CliError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != ["group", "value"]:
-            raise _CliError(f"{path}: expected header 'group,value', got {','.join(header)!r}")
-        groups = {"x": [], "y": []}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise _CliError(f"{path}:{lineno}: expected exactly 2 columns")
-            label = row[0].strip()
-            if label not in groups:
-                raise _CliError(
-                    f"{path}:{lineno}: unknown group label {label!r} (expected 'x' or 'y')"
-                )
-            try:
-                groups[label].append(float(row[1]))
-            except ValueError:
-                raise _CliError(f"{path}:{lineno}: non-numeric value {row[1]!r}") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: file is empty")
+            if [h.strip() for h in header] != ["group", "value"]:
+                raise ValidationError(
+                    f"{path}: expected header 'group,value', got {','.join(header)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValidationError(f"{path}:{lineno}: expected exactly 2 columns")
+                label = row[0].strip()
+                if label not in groups:
+                    raise ValidationError(
+                        f"{path}:{lineno}: unknown group label {label!r} (expected 'x' or 'y')")
+                groups[label].append(_number(path, lineno, row[1]))
+        except csv.Error as exc:  # a malformed row, or a field past the csv module's limit
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     for label, values in groups.items():
         if len(values) < 2:
-            raise _CliError(f"{path}: group {label!r} has fewer than 2 rows")
+            raise ValidationError(f"{path}: group {label!r} has fewer than 2 rows")
     return RawGroups(x=groups["x"], y=groups["y"])
 
 
 def _read_column(path: str, label: str) -> list:
     """Single-column file: one numeric value per line, blanks ignored."""
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise _CliError(f"cannot read raw data file: {exc}") from exc
-    values = []
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise _CliError(f"{path}:{lineno}: non-numeric value {text!r}") from None
+    with _open(path) as handle:
+        values = [_number(path, lineno, line.strip())
+                  for lineno, line in enumerate(handle, start=1) if line.strip()]
     if len(values) < 2:
-        raise _CliError(f"{path}: group {label!r} has fewer than 2 values")
+        raise ValidationError(f"{path}: group {label!r} has fewer than 2 values")
     return values
 
 
@@ -94,7 +91,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Reads every token that parses as a float as a value, not a flag.
 
     argparse itself takes ``-1e-3`` for an unknown flag; no flag here is a float.
+    Its errors raise ValidationError, which the CLI prints as one line.
     """
+
+    def error(self, message):
+        raise ValidationError(message)
 
     def _parse_optional(self, arg_string):
         try:
@@ -187,24 +188,24 @@ def _study_input(args):
     has_ci = args.ci_margin is not None
 
     if has_raw and has_split_raw:
-        raise _CliError("give either --raw or --raw-x/--raw-y, not both")
+        raise ValidationError("give either --raw or --raw-x/--raw-y, not both")
     if (has_raw or has_split_raw) and (has_counts or has_sds or has_ci):
-        raise _CliError("raw-data flags conflict with the summary-statistic flags")
+        raise ValidationError("raw-data flags conflict with the summary-statistic flags")
     if has_raw:
         return read_raw_csv(args.raw)
     if has_split_raw:
         if args.raw_x is None or args.raw_y is None:
-            raise _CliError("both --raw-x and --raw-y are required")
+            raise ValidationError("both --raw-x and --raw-y are required")
         return RawGroups(x=_read_column(args.raw_x, "x"),
                          y=_read_column(args.raw_y, "y"))
     if not has_counts:
-        raise _CliError("summary input needs --n-x, --n-y, --mean-x, and --mean-y "
-                        "(or use --raw)")
+        raise ValidationError("summary input needs --n-x, --n-y, --mean-x, and --mean-y "
+                              "(or use --raw)")
     if has_sds and has_ci:
-        raise _CliError("give either --sd-x/--sd-y or --ci-margin, not both")
+        raise ValidationError("give either --sd-x/--sd-y or --ci-margin, not both")
     if has_sds:
         if args.sd_x is None or args.sd_y is None:
-            raise _CliError("both --sd-x and --sd-y are required")
+            raise ValidationError("both --sd-x and --sd-y are required")
         return SummaryMoments(n_x=args.n_x, n_y=args.n_y,
                               mean_x=args.mean_x, mean_y=args.mean_y,
                               sd_x=args.sd_x, sd_y=args.sd_y)
@@ -212,14 +213,7 @@ def _study_input(args):
         return SummaryCi(n_x=args.n_x, n_y=args.n_y,
                          mean_x=args.mean_x, mean_y=args.mean_y,
                          ci_margin=args.ci_margin, ci_level=args.ci_level)
-    raise _CliError("no variability information: add --sd-x/--sd-y or --ci-margin")
-
-
-def _interval_from_flag(values):
-    if len(values) not in (1, 2):
-        raise _CliError("--interval takes one or two values")
-    # TestSpec.equivalence reads a single value v as (-v, v)
-    return values[0] if len(values) == 1 else tuple(values)
+    raise ValidationError("no variability information: add --sd-x/--sd-y or --ci-margin")
 
 
 def _test_spec(args) -> TestSpec:
@@ -229,13 +223,16 @@ def _test_spec(args) -> TestSpec:
                                     alternative=args.alternative)
     if design == "infer":
         if args.ni_margin is None:
-            raise _CliError("--ni-margin is required for a non-inferiority sweep")
+            raise ValidationError("--ni-margin is required for a non-inferiority sweep")
         return TestSpec.non_inferiority(args.ni_margin,
                                         standardized=args.ni_margin_std,
                                         direction=args.direction)
-    interval = _interval_from_flag(args.interval if args.interval is not None else [0.0])
-    return TestSpec.equivalence(interval, standardized=args.interval_std,
-                                direction=args.direction)
+    interval = args.interval or [0.0]
+    if len(interval) > 2:
+        raise ValidationError("--interval takes one or two values")
+    # TestSpec.equivalence reads a single value v as (-v, v)
+    return TestSpec.equivalence(interval[0] if len(interval) == 1 else tuple(interval),
+                                standardized=args.interval_std, direction=args.direction)
 
 
 def _write_curves(path: str, data, prior_scale: float) -> None:
@@ -252,13 +249,8 @@ def _write_curves(path: str, data, prior_scale: float) -> None:
 
 def parse_and_run(argv) -> int:
     """Validate the invocation, run the engine, print the report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
+        args = _build_parser().parse_args(argv)
         data = _study_input(args)
         spec = _test_spec(args)
         if args.subcommand == "sweep":
@@ -267,10 +259,9 @@ def parse_and_run(argv) -> int:
                 sys.stdout.write(render_json(sweep))
             else:
                 sys.stdout.write(render_sweep_text(sweep))
-            if any(e.error is not None for e in sweep.entries):
-                for e in sweep.entries:
-                    if e.error is not None:
-                        print(f"scale {e.scale:g} failed: {e.error}", file=sys.stderr)
+            for e in sweep.entries:
+                if e.error is not None:
+                    print(f"scale {e.scale:g} failed: {e.error}", file=sys.stderr)
         else:
             result = run_test(data, spec, args.prior_scale)
             if args.format == "json":
@@ -279,7 +270,9 @@ def parse_and_run(argv) -> int:
                 sys.stdout.write(render_text(result))
         if args.curves:
             _write_curves(args.curves, data, args.prior_scale)
-    except (_CliError, ValidationError, ValueError, OSError) as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (ValueError, OSError) as exc:  # ValidationError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -47,63 +47,40 @@ def _row(label: str, value: str) -> str:
     return f"{label:<{_LABEL_WIDTH}}{value}"
 
 
-_TITLES = {
-    "superiority": "Superiority analysis",
-    "non_inferiority": "Non-inferiority analysis",
-    "equivalence": "Equivalence analysis",
-}
-
-_BF_LABELS = {
-    "superiority": "BF10 (superiority)",
-    "non_inferiority": "BF10 (non-inferiority)",
-    "equivalence": "BF01 (equivalence)",
+_NAMES = {
+    "superiority": "Superiority",
+    "non_inferiority": "Non-inferiority",
+    "equivalence": "Equivalence",
 }
 
 
-def _hypothesis_rows(result: BfResult) -> list:
+def _bf_label(result: BfResult) -> str:
+    return f"{result.orientation.upper()} ({_NAMES[result.design].lower()})"
+
+
+def _design_rows(result: BfResult) -> list:
+    """The design's hypothesis lines, then its margin or interval lines."""
     if result.design == "superiority":
-        h1 = {"two_sided": "mu_y - mu_x != 0",
-              "one_sided": "mu_y - mu_x > 0" if result.direction == "high"
-              else "mu_y - mu_x < 0"}[result.alternative]
-        return [
-            _row("H0 (no superiority):", "mu_y - mu_x = 0"),
-            _row("H1 (superiority):", h1),
-        ]
+        h1 = ("!=" if result.alternative == "two_sided"
+              else ">" if result.direction == "high" else "<")
+        return [_row("H0 (no superiority):", "mu_y - mu_x = 0"),
+                _row("H1 (superiority):", f"mu_y - mu_x {h1} 0")]
     if result.design == "non_inferiority":
-        if result.direction == "low":
-            h0, h1 = "mu_y - mu_x > ni_margin", "mu_y - mu_x < ni_margin"
-        else:
-            h0, h1 = "mu_y - mu_x < -ni_margin", "mu_y - mu_x > -ni_margin"
-        return [
-            _row("H0 (inferiority):", h0),
-            _row("H1 (non-inferiority):", h1),
-        ]
-    lo, hi = result.interval_std
+        low = result.direction == "low"
+        h0, h1 = (("mu_y - mu_x > ni_margin", "mu_y - mu_x < ni_margin") if low
+                  else ("mu_y - mu_x < -ni_margin", "mu_y - mu_x > -ni_margin"))
+        return [_row("H0 (inferiority):", h0), _row("H1 (non-inferiority):", h1),
+                _row("Non-inferiority margin:", f"{result.margin_std:.2f} (standardised)"),
+                _row("", f"{result.margin_unstd:.2f} (unstandardised)")]
+    (lo, hi), (lo_u, hi_u) = result.interval_std, result.interval_unstd
     if lo == hi == 0.0:
         h0, h1 = "mu_y - mu_x = 0", "mu_y - mu_x != 0"
     else:
         h0 = f"delta > {lo:.2f} AND delta < {hi:.2f}"
         h1 = f"delta < {lo:.2f} OR delta > {hi:.2f}"
-    return [
-        _row("H0 (equivalence):", h0),
-        _row("H1 (non-equivalence):", h1),
-    ]
-
-
-def _margin_rows(result: BfResult) -> list:
-    if result.design == "non_inferiority":
-        return [
-            _row("Non-inferiority margin:", f"{result.margin_std:.2f} (standardised)"),
-            _row("", f"{result.margin_unstd:.2f} (unstandardised)"),
-        ]
-    if result.design == "equivalence":
-        lo_s, hi_s = result.interval_std
-        lo_u, hi_u = result.interval_unstd
-        return [
-            _row("Equivalence interval:", f"({lo_s:.2f}, {hi_s:.2f}) (standardised)"),
-            _row("", f"({lo_u:.2f}, {hi_u:.2f}) (unstandardised)"),
-        ]
-    return []
+    return [_row("H0 (equivalence):", h0), _row("H1 (non-equivalence):", h1),
+            _row("Equivalence interval:", f"({lo:.2f}, {hi:.2f}) (standardised)"),
+            _row("", f"({lo_u:.2f}, {hi_u:.2f}) (unstandardised)")]
 
 
 def render_text(result: BfResult) -> str:
@@ -111,18 +88,16 @@ def render_text(result: BfResult) -> str:
 
     Deterministic; identical results yield byte-identical blocks.
     """
-    title = _TITLES[result.design]
-    data_mode = "raw data" if result.input_mode == "raw" else "summary data"
+    title = f"{_NAMES[result.design]} analysis"
     lines = [
         _RULE,
         title,
         "-" * len(title),
-        _row("Data:", data_mode),
-        *_hypothesis_rows(result),
-        *_margin_rows(result),
+        _row("Data:", "raw data" if result.input_mode == "raw" else "summary data"),
+        *_design_rows(result),
         _row("Cauchy prior scale:", f"{result.prior_scale:.3f}"),
         "",
-        f"    {_BF_LABELS[result.design]} = {_format_bf(result.log_bf)}",
+        f"    {_bf_label(result)} = {_format_bf(result.log_bf)}",
         _RULE,
     ]
     return "\n".join(lines) + "\n"
@@ -131,19 +106,16 @@ def render_text(result: BfResult) -> str:
 def render_sweep_text(sweep: SweepResult) -> str:
     """Per-scale Bayes factors followed by min and max."""
     lines = [_RULE, "Prior scale sweep", "-" * len("Prior scale sweep")]
-    label = None
     for entry in sweep.entries:
         if entry.result is not None:
-            label = _BF_LABELS[entry.result.design]
+            label = _bf_label(entry.result)
             value = _format_bf(entry.result.log_bf)
             lines.append(f"scale = {entry.scale:.3f}    {label} = {value}")
         else:
             lines.append(f"scale = {entry.scale:.3f}    error: {entry.error}")
-    if sweep.min_log_bf is not None:
-        label = label or "BF"
-        lines.append("")
-        lines.append(f"min {label} = {_format_bf(sweep.min_log_bf)}")
-        lines.append(f"max {label} = {_format_bf(sweep.max_log_bf)}")
+    if sweep.min_log_bf is not None:  # so some entry has a result, and a label
+        lines += ["", f"min {label} = {_format_bf(sweep.min_log_bf)}",
+                  f"max {label} = {_format_bf(sweep.max_log_bf)}"]
     lines.append(_RULE)
     return "\n".join(lines) + "\n"
 

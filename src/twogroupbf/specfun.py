@@ -65,20 +65,21 @@ def central_t_logpdf(t, df):
     if df <= 0.0 or math.isnan(df):
         raise DomainError("central_t_logpdf requires df > 0")
     with np.errstate(over="ignore"):  # t^2 = inf: a density of zero in any scale
-        return _central_t(np.asarray(t, dtype=float), df)
+        return _central_t(np.asarray(t, dtype=float), df)[0]
 
 
 def _central_t(t, df):
     """central_t_logpdf for a float array ``t`` and a valid ``df``, under the
-    caller's errstate."""
+    caller's errstate, and whether every t^2 / df, so every t^2, is finite."""
     q = t * t / df
     log1p_q = np.log1p(q)
-    if not (q < math.inf).all():  # t^2 / df past the float range, but not its log
+    finite = (q < math.inf).all()
+    if not finite:  # t^2 / df past the float range, but not its log
         with np.errstate(all="ignore"):  # at t = 0 it is nan, and not taken
             log_q = 2.0 * np.log(np.abs(t)) - math.log(df) + np.log1p(df / (t * t))
         log1p_q = np.where(np.isinf(q), log_q, log1p_q)
     return (_log_gamma_half_ratio(df / 2.0) - 0.5 * (math.log(df) + LN_PI)
-            - ((df + 1.0) / 2.0) * log1p_q)
+            - ((df + 1.0) / 2.0) * log1p_q), finite
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,7 @@ def _node_count(c):
     return math.ceil(steps) + 1
 
 
+_A_LAPLACE = 1e150  # largest a handed to the trapezoid where t^2 overflows
 _EVAL_CHUNK = 2048  # trapezoid rows per pass: bounds the (rows x nodes) work arrays
 
 
@@ -256,15 +258,25 @@ def noncentral_t_logpdf(t, df, ncp):
     t = np.asarray(t, dtype=float)
     ncp = np.asarray(ncp, dtype=float)
     with np.errstate(all="ignore"):
+        central, finite = _central_t(t, df)
         big_a = t * t + df
         gauss = ncp * ncp * df / (2.0 * big_a)
+        a = ncp * t / np.sqrt(big_a)
+        if not finite:  # where t^2 is past the float range, both in units of t^2
+            over, u = np.isinf(big_a), 1.0 + df / t / t
+            a = np.where(over, ncp * np.sign(t) / np.sqrt(u), a)
+            gauss = np.where(over, (ncp / t) ** 2 * df / (2.0 * u), gauss)
+            # _log_hh's x*^2 overflows past a ~ 1.3e154; past _A_LAPLACE, I's peak is
+            # Gaussian to ~c^2 / a^2, so ln I(a) - ln I(_A_LAPLACE) = df ln(a / _A_LAPLACE)
+            gauss = gauss - df * np.log(np.maximum(a / _A_LAPLACE, 1.0))
+            a = np.minimum(a, _A_LAPLACE)
         # the a = 0 row, ln I(0), rides in the same trapezoid pass
-        log_i = _log_hh(df, np.concatenate(([0.0], ncp * t / np.sqrt(big_a)), axis=None))
-        out = _central_t(t, df) - gauss + (log_i[1:].reshape(gauss.shape) - log_i[0])
-    # a point where t^2 or ncp^2 df overflows ends as -inf or nan (every
-    # other point is finite), and fmax turns nan into -inf: a density that
-    # is zero in any scale so long as the peak's own ncp^2 df is finite,
-    # which datamodel's limit on |t| keeps
+        log_i = _log_hh(df, np.concatenate(([0.0], a), axis=None))
+        out = central - gauss + (log_i[1:].reshape(gauss.shape) - log_i[0])
+    # a point where ncp^2 df overflows ends as -inf or nan (every other point
+    # is finite), and fmax turns nan into -inf: a density that is zero in any
+    # scale so long as the peak's own ncp^2 df is finite, which datamodel's
+    # limit on |t| keeps
     out = np.fmax(out, -math.inf)
     return float(out) if out.ndim == 0 else out
 

@@ -42,21 +42,29 @@ def nct_logpdf_mpmath(t, df, ncp):
 
     The integrand v^df exp(-(v - a)^2 / 2) is divided by its peak value, and
     breakpoints double away from its mode in curvature units; without the
-    division mpmath's error estimate misses 4.5e-7 of ln I at a = -1e3.
+    division mpmath's error estimate misses 4.5e-7 of ln I at a = -1e3.  It
+    is integrated in z = (v - mode) / width, with the mode's offset from a
+    formed without cancellation: in v itself, 30 digits cannot resolve the
+    peak's width once a passes ~1e15.
     """
     with mpmath.workdps(30):
         t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
         big_a = t * t + df
         a = ncp * t / mpmath.sqrt(big_a)
         root = mpmath.sqrt(a * a + 4 * df)
-        # the mode of v^df exp(-(v - a)^2 / 2), without cancellation for a < 0
+        # the mode of v^df exp(-(v - a)^2 / 2) and mode - a, without
+        # cancellation for either sign of a
         mode = (a + root) / 2 if a >= 0 else 2 * df / (root - a)
+        gap = 2 * df / (root + a) if a >= 0 else mode - a
         width = 1 / mpmath.sqrt(1 + df / mode ** 2)
-        peak = df * mpmath.log(mode) - (mode - a) ** 2 / 2
+        peak = df * mpmath.log(mode) - gap ** 2 / 2
         steps = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
-        pts = [0] + [mode + k * width for k in steps if mode + k * width > 0] + [mpmath.inf]
-        log_i = peak + mpmath.log(mpmath.quad(
-            lambda v: mpmath.exp(df * mpmath.log(v) - (v - a) ** 2 / 2 - peak), pts))
+        z0 = -mode / width  # v = 0
+        pts = [z0] + [k for k in steps if k > z0] + [mpmath.inf]
+        # max(., -1): the end z0 may round to just below v = 0
+        log_i = peak + mpmath.log(width) + mpmath.log(mpmath.quad(
+            lambda z: mpmath.exp(df * mpmath.log1p(max(width * z / mode, -1))
+                                 - width * z * (gap + width * z / 2)), pts))
         return float(mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
                      - mpmath.log(2 * mpmath.pi) / 2 - ncp ** 2 * df / (2 * big_a)
                      - (df + 1) / 2 * mpmath.log(big_a) + log_i)

@@ -106,6 +106,16 @@ class TestRawCsv:
         assert parse_and_run(["super", "--raw", path]) == 2
         assert "fewer than 2 rows" in capsys.readouterr().err
 
+    def test_field_past_the_csv_limit_names_its_line(self, tmp_path, capsys):
+        path = self._write(tmp_path / "d.csv", ["x,1", "x,2", "y,3", "y," + "1" * 200000])
+        assert parse_and_run(["super", "--raw", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}:5: field larger than field limit (131072)\n"
+
+    def test_empty_file(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("")
+        assert parse_and_run(["super", "--raw", str(tmp_path / "d.csv")]) == 2
+        assert "file is empty" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert parse_and_run(["super", "--raw", "/nonexistent/path.csv"]) == 2
         assert "cannot read raw data file" in capsys.readouterr().err
@@ -350,13 +360,40 @@ class TestValidationAndExitCodes:
         assert rc == 2
         assert "both --sd-x and --sd-y" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == ""
+        return lines[0]
+
     def test_unknown_flag(self, capsys):
         assert parse_and_run(["super", "--bogus", "1"]) == 2
+        assert "--bogus" in self._one_error_line(capsys)
         # a dash token that is not a float stays a flag
         assert parse_and_run(["super", "-e3"]) == 2
+        assert "-e3" in self._one_error_line(capsys)
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         assert parse_and_run(["frobnicate"]) == 2
+        assert "frobnicate" in self._one_error_line(capsys)
+        assert parse_and_run([]) == 2
+        assert "subcommand" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("extra, words", [
+        ([], "required: --ni-margin"),
+        (["--ni-margin", "1", "--n-x", "ten"], "invalid int value: 'ten'"),
+        (["--ni-margin", "1", "--direction", "sideways"], "invalid choice: 'sideways'")])
+    def test_argparse_errors_print_one_line(self, extra, words, capsys):
+        study = ["--n-x", "10", "--n-y", "10", "--mean-x", "0", "--mean-y", "0.1",
+                 "--sd-x", "1", "--sd-y", "1"]
+        assert parse_and_run(["infer", *study, *extra]) == 2
+        assert words in self._one_error_line(capsys)
+
+    def test_help_exits_0(self, capsys):
+        assert parse_and_run(["infer", "--help"]) == 0
+        assert "--ni-margin" in capsys.readouterr().out
 
     def test_invalid_numerics(self, capsys):
         rc = parse_and_run(["infer", "--n-x", "10", "--n-y", "10", "--mean-x", "0",
@@ -412,11 +449,15 @@ class TestValidationAndExitCodes:
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
         fx.write_text("1e200\n-1e200\n3e200\n")
         fy.write_text("2e200\n-1e200\n5e200\n")
+        # one field past the csv module's field size limit
+        big = tmp_path / "big.csv"
+        big.write_text("group,value\nx,1\nx,2\ny,3\ny," + "1" * 200000 + "\n")
         env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
         # a margin of 1e307 puts the outer nodes past the float range
         far_margin = ["infer", "--ni-margin", "1e307", "--ni-margin-std", *FAR_MARGIN]
         for args, status in ((TINY_CI_MARGIN, 2), (TINY_SDS, 2),
                              (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2),
+                             (["super", "--raw", str(big)], 2),
                              (far_margin, 3)):
             proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
                                   capture_output=True, text=True, timeout=120)

@@ -346,6 +346,22 @@ class TestNoncentralT:
                 out = noncentral_t_logpdf(t, df, ncp)
                 assert np.all(np.isfinite(out)), (df, t, ncp[~np.isfinite(out)])
 
+    @pytest.mark.parametrize("df", [2.0, 38.0])
+    def test_past_the_overflow_of_t_squared(self, df):
+        """Where t^2 overflows, a and the Gaussian term are formed in units of
+        t^2: the noncentrality stays, and near the peak (ncp = t) the Gaussian
+        term is ~df / 2, not 0.  t = ncp = 1e50 and 1e100 are the peak below
+        that horizon, where a is as large."""
+        for t in (1e50, 1e100, 1e155, -1e155, 1e200, -1e200, 1e300):
+            for ncp in (1.0, 5.0) + ((t,) if t > 0 else ()):
+                ref = nct_logpdf_mpmath(t, df, ncp)
+                got = noncentral_t_logpdf(t, df, ncp)
+                assert abs(got - ref) <= 1e-8 + 1e-14 * abs(ref), (t, ncp)
+        # a point keeps its value beside points past the horizon
+        t, ncp = np.array([0.0, 2.0, -1e155, 1e200]), np.array([1.0, 1.0, 5.0, 1e200])
+        alone = [noncentral_t_logpdf(float(a), df, float(b)) for a, b in zip(t, ncp)]
+        assert noncentral_t_logpdf(t, df, ncp).tolist() == alone
+
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, -2.0, 0.0)
