@@ -82,6 +82,9 @@ class RawGroups:
 
 
 def _check_group_sizes(n_x, n_y) -> None:
+    for name, n in (("n_x", n_x), ("n_y", n_y)):
+        if isinstance(n, int) and abs(n) > sys.float_info.max:  # float(n) would overflow
+            raise ValidationError(f"group size {name} ~ 1e{math.log10(abs(n)):.0f} is too large")
     if not (float(n_x).is_integer() and float(n_y).is_integer()):
         raise ValidationError("group sizes must be whole numbers")
     if n_x < 2 or n_y < 2:

@@ -95,11 +95,15 @@ def cauchy_logpdf(x, scale):
     scales = scale.ravel().tolist()
     if not all(s > 0.0 for s in scales):
         raise DomainError("cauchy_logpdf requires scale > 0")
-    z = np.asarray(x, dtype=float) / scale
     # libm's log for the normalizer, whose last bit numpy's log may not match
     neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
-    with np.errstate(over="ignore"):  # z^2 = inf: a density of zero in any scale
-        return neg_log_norm - np.log1p(z * z)
+    with np.errstate(over="ignore", divide="ignore"):  # ln 0 = -inf only where not taken
+        z2 = np.square(np.asarray(x, dtype=float) / scale)
+        log1p_z2 = np.log1p(z2)
+        if not (z2 < math.inf).all():  # (x / scale)^2 past the float range, but not its log
+            log_z2 = 2.0 * (np.log(np.abs(x)) - np.log(scale))
+            log1p_z2 = np.where(np.isinf(z2), log_z2, log1p_z2)
+        return neg_log_norm - log1p_z2
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +183,24 @@ def _window(c, x2):
     return -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w, k
 
 
-def _worst_modes(c):
-    """The x*^2 whose windows need the most nodes at c = df + 1.
-
-    Where c + x*^2 >= _LEFT^2 the window spans k + k / (1 - (e - 1) k),
-    k = _RIGHT sigma: its _SPACING sigma steps fall as x*^2 grows, so the
-    switch stands for every mode beyond it.  Below, the step count
-    (_RIGHT + (1 + w) / sigma) / _SPACING is concave on each linear piece of
-    w: it peaks at a piece's stationary point or at a piece end.  Capped
-    steps peak at x* -> 0.
-    """
-    q2 = _Q * _Q
-    u_switch = max(_LEFT * _LEFT - c, 0.0)
-    return [min(max(u, 0.0), u_switch) for u in (
-        0.0,
-        2.0 * (c * (1.0 - q2) + _TAIL) / (3.0 * q2),  # stationary, w = r / c
-        2.0 * (c / math.e + (_TAIL - c / math.e) / _Q) / (3.0 * _Q),  # w = (r - c/e) / (_Q c)
-        2.0 * (_TAIL - c) / q2,  # piece ends: r = c and r = c / e
-        2.0 * (_TAIL - c / math.e) / q2,
-        u_switch)]
-
-
 def _node_count(c):
-    """Trapezoid nodes at c = df + 1: the worst case over every mode x*.
+    """Trapezoid nodes at c = df + 1: the worst case over every mode x*, which
+    lies at x* -> 0 or at the switch c + x*^2 = _LEFT^2, where k = 1/e, w = 0
+    and the window [-1, 1/e] takes steps of _SPACING / _LEFT.
 
-    _window's spans at the _worst_modes, in scalar arithmetic: on six modes,
-    numpy's per-call overhead costs about as much as the trapezoid on a
-    hundred points.
+    Along x*^2, _window's step count span / min(_SPACING sigma, _CAP) falls
+    beyond the switch, as (_RIGHT / _SPACING) (1 + 1 / (1 - (e - 1) k)); falls
+    where the cap governs (c + x*^2 < 52), as the span k + 1 + w does; and
+    rises toward the switch below it where w = 0 and the cap does not govern,
+    as (_RIGHT + 1 / sigma) / _SPACING.  w > 0 needs c < e _TAIL ~ 81: there
+    the tests check the two ends against a dense grid of modes.
     """
-    steps = 0.0
-    for u in set(_worst_modes(c)):
-        sigma = 1.0 / math.sqrt(c + u)
-        k = _RIGHT * sigma
-        r = _TAIL - _Q * _Q * u / 2.0
-        w = max(min(r, (r - c / math.e) / _Q), 0.0) / c
-        span = k + k / max(1.0 - (math.e - 1.0) * k, k) + w
-        steps = max(steps, span / min(_SPACING * sigma, _CAP))
+    sigma = 1.0 / math.sqrt(c)
+    k = _RIGHT * sigma
+    w = max(min(_TAIL, (_TAIL - c / math.e) / _Q), 0.0) / c
+    steps = (k + k / max(1.0 - (math.e - 1.0) * k, k) + w) / min(_SPACING * sigma, _CAP)
+    if c < _LEFT * _LEFT:
+        steps = max(steps, (1.0 + 1.0 / math.e) * _LEFT / _SPACING)
     return math.ceil(steps) + 1
 
 

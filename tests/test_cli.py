@@ -73,7 +73,8 @@ class TestRawCsv:
         return str(path)
 
     def test_minimal_file(self, tmp_path):
-        path = self._write(tmp_path / "d.csv", ["x,1.0", "x,2.0", "y,1.5", "y,2.5"])
+        # a blank row is skipped
+        path = self._write(tmp_path / "d.csv", ["x,1.0", "", "x,2.0", "y,1.5", "y,2.5"])
         raw = read_raw_csv(path)
         assert list(raw.x) == [1.0, 2.0]
         assert list(raw.y) == [1.5, 2.5]
@@ -90,6 +91,11 @@ class TestRawCsv:
         rc = parse_and_run(["super", "--raw", path])
         assert rc == 2
         assert "unknown group label 'z'" in capsys.readouterr().err
+
+    def test_row_with_three_fields_names_its_line(self, tmp_path, capsys):
+        path = self._write(tmp_path / "d.csv", ["x,1", "x,2,3", "y,3", "y,4"])
+        assert parse_and_run(["super", "--raw", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: expected exactly 2 columns\n"
 
     def test_bad_header(self, tmp_path, capsys):
         path = self._write(tmp_path / "d.csv", ["x,1"], header="grp,val")
@@ -240,6 +246,16 @@ class TestEquivInvocation:
         assert rc == 0
         assert "mu_y - mu_x = 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("interval, words", [
+        (["0.3", "0.3"], "a point equivalence hypothesis must sit at 0"),
+        (["1", "2", "3"], "--interval takes one or two values")])
+    def test_bad_interval_prints_one_line(self, interval, words, capsys):
+        rc = parse_and_run(["equiv", "--n-x", "10", "--n-y", "10", "--mean-x", "0",
+                            "--mean-y", "0.05", "--sd-x", "1", "--sd-y", "1",
+                            "--interval", *interval])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {words}\n"
+
     def test_point_null_below_float_range(self, capsys):
         # exp(ln BF01) underflows to 0.0 here; the report comes from ln BF01
         args = ["--n-x", "20000", "--n-y", "20000", "--mean-x", "0", "--mean-y", "0.5",
@@ -254,6 +270,19 @@ class TestEquivInvocation:
 
 
 class TestSweepInvocation:
+    def test_failing_scale_in_json(self, capsys):
+        # the JSON record of every scale goes to stdout, and one line per failed
+        # scale to stderr; the run still succeeds
+        rc = parse_and_run(["sweep", "--design", "equiv", "--interval", "-0.2", "0.3",
+                            "--interval-std", "--scales", "1e-20", "0.5", "1", "--format", "json",
+                            *INFER_ARGS[1:11]])
+        captured = capsys.readouterr()
+        assert rc == 0
+        golden = Path(__file__).parent / "golden" / "reference_json"
+        assert captured.out == (golden / "sweep_with_failing_scale.json").read_text()
+        assert captured.err == ("scale 1e-20 failed: H1 carries essentially no prior mass "
+                                "(2.65e-20)\n")
+
     def test_reports_min_and_max(self, capsys):
         rc = parse_and_run(["sweep", "--design", "super", "--scales", "0.5", "5",
                             "--n-x", "100", "--n-y", "100", "--mean-x", "0",
@@ -301,6 +330,13 @@ class TestSplitRawFiles:
                             "--raw-y", str(fx)])
         assert rc == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_one_value_is_too_few(self, tmp_path, capsys):
+        fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
+        fx.write_text("1.0\n\n")
+        fy.write_text("1.0\n2.0\n")
+        assert parse_and_run(["super", "--raw-x", str(fx), "--raw-y", str(fy)]) == 2
+        assert capsys.readouterr().err == f"error: {fx}: group 'x' has fewer than 2 values\n"
 
     def test_non_numeric_line(self, tmp_path, capsys):
         fx = tmp_path / "x.txt"
@@ -445,7 +481,7 @@ class TestValidationAndExitCodes:
 
     def test_overflowing_inputs_print_only_their_error_line(self, tmp_path):
         # numpy's overflow warnings would reach a user's stderr ahead of the
-        # error; a fresh interpreter shows what the user sees
+        # error, or alone on success; a fresh interpreter shows what the user sees
         fx, fy = tmp_path / "x.txt", tmp_path / "y.txt"
         fx.write_text("1e200\n-1e200\n3e200\n")
         fy.write_text("2e200\n-1e200\n5e200\n")
@@ -455,14 +491,21 @@ class TestValidationAndExitCodes:
         env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
         # a margin of 1e307 puts the outer nodes past the float range
         far_margin = ["infer", "--ni-margin", "1e307", "--ni-margin-std", *FAR_MARGIN]
+        # a group size past the float range
+        huge_n = ["super", "--n-x", "9" * 400, "--n-y", "10", "--mean-x", "0", "--mean-y", "1",
+                  "--sd-x", "1", "--sd-y", "1"]
+        # t = -2.5e107 at prior scale 1e-200: (delta / scale)^2 overflows at the
+        # likelihood's peak, where the prior's log density is still finite
+        far_spike = ["super", "--n-x", "50", "--n-y", "336", "--mean-x", "0", "--mean-y",
+                     "-3.8e106", "--sd-x", "1", "--sd-y", "1", "--prior-scale", "1e-200"]
         for args, status in ((TINY_CI_MARGIN, 2), (TINY_SDS, 2),
                              (["super", "--raw-x", str(fx), "--raw-y", str(fy)], 2),
                              (["super", "--raw", str(big)], 2),
-                             (far_margin, 3)):
+                             (far_margin, 3), (huge_n, 2), (far_spike, 0)):
             proc = subprocess.run([sys.executable, "-m", "twogroupbf.cli", *args], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == status
-            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert len(proc.stderr.splitlines()) == (status != 0), proc.stderr
 
     def test_huge_sds_pool_without_overflow(self, capsys):
         small = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5"]

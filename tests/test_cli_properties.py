@@ -1,0 +1,172 @@
+"""Property test of the CLI over the whole input domain it accepts.
+
+Every invocation drawn here must end in exit 0 with a finite log Bayes
+factor, or in one documented error line with exit 2 (invalid input) or 3
+(numerical failure); the suite's ``error::RuntimeWarning`` filter turns any
+stray numpy warning into a failure.  Finiteness alone cannot see a wrong
+answer, so two laws that are exact in their own regimes are checked too:
+mirrored data under the flipped direction give the same log BF, and at
+prior scales far below the likelihood's peak the log BF moves by exactly
+ln(s1 / s2).
+"""
+
+import io
+import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from twogroupbf import cli
+from twogroupbf.datamodel import derive_stats
+
+# magnitudes from 1e-300 to 1e300, log-uniform
+MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: float(10.0 ** e))
+SIGNED = st.tuples(st.booleans(), MAGNITUDES).map(lambda p: -p[1] if p[0] else p[1])
+SIZES = st.floats(math.log10(2.0), 9.0).map(lambda e: int(round(10.0 ** e)))
+# half of the prior scales sit at the default's neighbourhood
+SCALES = st.one_of(st.just(0.707), MAGNITUDES)
+CI_LEVELS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999])
+FORMS = ("moments", "ci", "raw", "raw_split")
+
+
+def _num(v):
+    return repr(float(v))
+
+
+@st.composite
+def invocations(draw, subcommand):
+    """A study, a design and its flags, as a dict the argv builder reads."""
+    form = draw(st.sampled_from(FORMS))
+    case = {"subcommand": subcommand, "form": form,
+            "direction": draw(st.sampled_from(["high", "low"]))}
+    if form in ("raw", "raw_split"):
+        case["x"] = draw(st.lists(SIGNED, min_size=2, max_size=8))
+        case["y"] = draw(st.lists(SIGNED, min_size=2, max_size=8))
+    else:
+        case["n"] = (draw(SIZES), draw(SIZES))
+        case["means"] = (draw(SIGNED), draw(SIGNED))
+        if form == "moments":
+            case["sds"] = (draw(MAGNITUDES), draw(MAGNITUDES))
+        else:
+            case["ci"] = (draw(MAGNITUDES), draw(CI_LEVELS))
+    design = draw(st.sampled_from(["super", "infer", "equiv"])) if subcommand == "sweep" \
+        else subcommand
+    case["design"] = design
+    if design == "super":
+        case["design_flags"] = ["--alternative",
+                                draw(st.sampled_from(["one_sided", "two_sided"]))]
+    elif design == "infer":
+        case["design_flags"] = ["--ni-margin", _num(draw(MAGNITUDES))] + (
+            ["--ni-margin-std"] if draw(st.booleans()) else [])
+    else:
+        interval = draw(st.one_of(st.just([0.0]), st.lists(SIGNED, min_size=1, max_size=2)))
+        case["design_flags"] = ["--interval", *map(_num, interval)] + (
+            ["--interval-std"] if draw(st.booleans()) else [])
+    if subcommand == "sweep":
+        case["scales"] = draw(st.lists(SCALES, min_size=1, max_size=3))
+    else:
+        case["scale"] = draw(SCALES)
+    return case
+
+
+def _argv(case, folder, mirror=False, scales=None):
+    """The invocation for ``case``; ``mirror`` negates every observation and
+    mean and flips the direction."""
+    sign = -1.0 if mirror else 1.0
+    direction = case["direction"]
+    if mirror:
+        direction = "low" if direction == "high" else "high"
+    argv = [case["subcommand"]]
+    if case["subcommand"] == "sweep" or scales is not None:
+        argv = ["sweep", "--design", case["design"],
+                "--scales", *map(_num, scales or case["scales"])]
+    argv += case["design_flags"] + ["--direction", direction, "--format", "json"]
+    if scales is None and case["subcommand"] != "sweep":
+        argv += ["--prior-scale", _num(case["scale"])]
+    form = case["form"]
+    if form in ("raw", "raw_split"):
+        x, y = ([sign * v for v in case[g]] for g in ("x", "y"))
+        tag = "m" if mirror else "p"
+        if form == "raw":
+            path = Path(folder) / f"{tag}.csv"
+            rows = [f"x,{_num(v)}" for v in x] + [f"y,{_num(v)}" for v in y]
+            path.write_text("group,value\n" + "\n".join(rows) + "\n")
+            return argv + ["--raw", str(path)]
+        paths = [Path(folder) / f"{tag}{g}.txt" for g in ("x", "y")]
+        for path, values in zip(paths, (x, y)):
+            path.write_text("".join(f"{_num(v)}\n" for v in values))
+        return argv + ["--raw-x", str(paths[0]), "--raw-y", str(paths[1])]
+    (n_x, n_y), (m_x, m_y) = case["n"], case["means"]
+    argv += ["--n-x", str(n_x), "--n-y", str(n_y),
+             "--mean-x", _num(sign * m_x), "--mean-y", _num(sign * m_y)]
+    if form == "moments":
+        return argv + ["--sd-x", _num(case["sds"][0]), "--sd-y", _num(case["sds"][1])]
+    return argv + ["--ci-margin", _num(case["ci"][0]), "--ci-level", _num(case["ci"][1])]
+
+
+def _run(argv):
+    """parse_and_run in-process: exit code, stdout and stderr, checked
+    against the CLI's contract; the log BFs of a success (None for a failed
+    sweep entry)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.parse_and_run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 2, 3), (rc, argv)
+    lines = err.splitlines()
+    if rc != 0:
+        prefix = "error: " if rc == 2 else "numerical failure: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), (err, argv)
+        assert out == ""
+        return rc, None
+    payload = json.loads(out)
+    entries = payload["sweep"] if argv[0] == "sweep" else [payload]
+    log_bfs = [e.get("log_bf") for e in entries]
+    assert all(v is None or math.isfinite(v) for v in log_bfs), (log_bfs, argv)
+    failed = [e for e in entries if "error" in e]
+    assert len(lines) == len(failed), (err, argv)
+    assert all(line.startswith("scale ") and " failed: " in line for line in lines), err
+    return rc, log_bfs
+
+
+def _tail_law(case, folder):
+    """At scales far below the likelihood's peak |delta*| the prior's spike
+    holds no likelihood, and ln BF10(s) = ln(s) + a constant to O(s^2 / delta*^2)
+    and O(1 / BF10).  Checked from s1 = 1e-8 |delta*| to s2 = 1e-k |delta*|."""
+    args = cli._build_parser().parse_args(_argv(case, folder))
+    stats = derive_stats(cli._study_input(args))
+    t_c = stats.t_obs if case["direction"] == "high" else -stats.t_obs
+    peak = abs(t_c) / math.sqrt(stats.n_eff)
+    if case["design_flags"][1] == "one_sided" and t_c <= 0.0:
+        return
+    for k in (20, 160, 300):  # below 1e-154 |delta*|, (delta / s)^2 overflows at the peak
+        s1, s2 = 1e-8 * peak, 10.0 ** -k * peak
+        if s2 < 1e-300:
+            continue
+        _, log_bfs = _run(_argv(case, folder, scales=[s1, s2]))
+        if log_bfs is None or None in log_bfs or log_bfs[1] < 50.0:
+            continue
+        log1, log2 = log_bfs
+        err = abs(log1 - log2 - math.log(s1 / s2))
+        assert err <= 1e-6 + 1e-12 * abs(log1), (case, s1, s2, log1, log2)
+
+
+@pytest.mark.parametrize("subcommand", ["super", "infer", "equiv", "sweep"])
+def test_every_invocation_ends_in_a_documented_way(subcommand):
+    @given(invocations(subcommand))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(case):
+        with tempfile.TemporaryDirectory() as folder:
+            rc, log_bfs = _run(_argv(case, folder))
+            mirror_rc, mirror_log_bfs = _run(_argv(case, folder, mirror=True))
+            assert (mirror_rc, mirror_log_bfs) == (rc, log_bfs), case
+            if rc == 0 and subcommand == "super":
+                _tail_law(case, folder)
+
+    check()

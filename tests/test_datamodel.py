@@ -167,12 +167,16 @@ class TestValidation:
             SummaryCi(2, 2, 0.0, 0.0, ci_margin=0.2)
 
     def test_non_integral_sizes_rejected(self):
-        for n_x, n_y in ((2.5, 3), (10, 10.5), (math.nan, 10), (math.inf, 10)):
+        # and sizes past the float range, which float() cannot take
+        for n_x, n_y in ((2.5, 3), (10, 10.5), (math.nan, 10), (math.inf, 10),
+                         (10 ** 400 - 1, 10), (10, -10 ** 400)):
             with pytest.raises(ValidationError):
                 SummaryMoments(n_x, n_y, 0.0, 1.0, 1.0, 1.0)
             with pytest.raises(ValidationError):
                 SummaryCi(n_x, n_y, 0.0, 1.0, ci_margin=0.5)
         assert SummaryMoments(10.0, 12, 0.0, 1.0, 1.0, 1.0).n_x == 10
+        with pytest.raises(ValidationError, match="group size n_x ~ 1e400 is too large"):
+            SummaryMoments(10 ** 400 - 1, 10, 0.0, 1.0, 1.0, 1.0)
 
     def test_t_statistic_past_the_limit(self):
         # t = 2.2e160 from moments, 1e300 from a CI, and t = 2e153 at n 20/20,

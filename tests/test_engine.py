@@ -171,6 +171,19 @@ class TestTinyPriorScale:
         for scale in (1e-20, 1e-100, 1e-300):
             assert abs(self._log_bf(alternative, scale)) <= 1e-7
 
+    @pytest.mark.parametrize("alternative", ["two_sided", "one_sided"])
+    def test_far_spike_follows_the_tail_law(self, alternative):
+        """t = -2.5e107 at df 384: at scales far below |delta*| ~ 1.3e106 the
+        prior's spike holds no likelihood, so ln BF10(s) = ln BF10(1e-10) +
+        ln(s / 1e-10).  These scales put (delta / s)^2 past the float range,
+        where it once read as a prior density of zero."""
+        data = SummaryMoments(50, 336, 0.0, -3.8e106, 1.0, 1.0)
+        spec = TestSpec.superiority(direction="low", alternative=alternative)
+        base = super_bf(data, spec, 1e-10).log_bf
+        for scale in (1e-100, 1e-200, 1.5e-298):
+            law = base + math.log(scale / 1e-10)
+            assert super_bf(data, spec, scale).log_bf == pytest.approx(law, rel=1e-12)
+
 
 HUGE_T = (1e12, 1e14, 1e16, 1e18, 1e30, 1e150)
 

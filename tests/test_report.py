@@ -70,6 +70,9 @@ class TestRenderText:
         assert "= 9999.00" in render_text(just_below)
         at_threshold = replace(res, log_bf=math.log(10000.0))
         assert "= 1.00e+04" in render_text(at_threshold)
+        # beyond the float range, a mantissa that rounds up a decade carries it
+        carried = replace(res, log_bf=999.9999 * math.log(10.0))
+        assert "= 1.00e+1000\n" in render_text(carried)
 
     def test_superiority_block(self):
         res = super_bf(SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0),

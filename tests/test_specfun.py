@@ -138,6 +138,17 @@ class TestCauchy:
             math.log(math.sqrt(2.0) / (3.0 * math.pi)), abs=1e-13
         )
 
+    def test_past_the_overflow_of_z_squared(self):
+        # ln(1 + z^2) = 2 (ln|x| - ln scale) where z^2 = (x / scale)^2 overflows
+        for x, scale in ((1e200, 1e-200), (-3e160, 2.0), (1e300, 1e-300)):
+            want = -math.log(math.pi * scale) - 2.0 * (math.log(abs(x)) - math.log(scale))
+            assert cauchy_logpdf(x, scale) == pytest.approx(want, rel=1e-15)
+        # a point keeps its bits beside points past the overflow
+        x = np.array([0.0, 0.3, -2.0, 1e200, -1e300])
+        alone = [float(cauchy_logpdf(v, 0.7)) for v in x]
+        assert cauchy_logpdf(x, 0.7).tolist() == alone
+        assert cauchy_logpdf(x[:3], 0.7).tolist() == alone[:3]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cauchy_logpdf(0.0, 0.0)
@@ -255,12 +266,18 @@ class TestNoncentralT:
 
     @pytest.mark.parametrize("df", [1e-3, 0.5, 3.0, 10.0, 20.0, 38.0, 100.0, 396.0, 700.0, 2e6])
     def test_node_count_is_the_worst_case_over_modes(self, df):
-        c = df + 1.0
-        u = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
-        left, right = specfun._window(c, u)
-        sigma = 1.0 / np.sqrt(c + u)
-        most = np.max((right - left) / np.minimum(specfun._SPACING * sigma, specfun._CAP))
-        assert specfun._node_count(c) >= math.ceil(most) + 1
+        most = _most_steps(df + 1.0)
+        assert specfun._node_count(df + 1.0) >= math.ceil(most) + 1
+        assert specfun._node_count(df + 1.0) == math.ceil(most) + 1
+
+    def test_node_count_is_tight_on_a_dense_df_grid(self):
+        """The count from the two modes x* -> 0 and the switch is the worst case
+        over a dense grid of modes, from df 1e-3 to 1e12 and densely in 150-460,
+        where the switch sets it."""
+        for df in np.concatenate([np.geomspace(1e-3, 1e12, 200), np.linspace(150.0, 460.0, 50)]):
+            most = _most_steps(df + 1.0)
+            assert specfun._node_count(df + 1.0) >= math.ceil(most) + 1, df
+            assert specfun._node_count(df + 1.0) == math.ceil(most) + 1, df
 
     @pytest.mark.parametrize("df", [0.5, 3.0, 10.0, 20.0, 38.0, 100.0, 396.0, 441.0, 700.0,
                                     2e4, 2e6, 2e9])
@@ -367,10 +384,29 @@ class TestNoncentralT:
             noncentral_t_logpdf(1.0, -2.0, 0.0)
 
 
+def _most_steps(c):
+    """The most trapezoid steps that any mode's window needs at c = df + 1,
+    over a dense grid of x*^2 that holds x*^2 = 0 and the switch."""
+    u = np.concatenate([[0.0, max(specfun._LEFT ** 2 - c, 0.0)], np.geomspace(1e-6, 1e7, 20_001)])
+    left, right = specfun._window(c, u)
+    sigma = 1.0 / np.sqrt(c + u)
+    return np.max((right - left) / np.minimum(specfun._SPACING * sigma, specfun._CAP))
+
+
 def _kernel_modes(c):
-    """Modes x* of the kernel's window at c = df + 1: where its node count
-    peaks, and 1e-6 either side of the switch c + x*^2 = _LEFT^2."""
-    modes = [math.sqrt(u) for u in specfun._worst_modes(c) if u > 0.0]
+    """Modes x* of the kernel's window at c = df + 1: where the count of an
+    exact search over modes could peak (a linear piece of w's stationary point
+    or end, and the switch c + x*^2 = _LEFT^2), and 1e-6 either side of the
+    switch."""
+    q2, tail = specfun._Q ** 2, specfun._TAIL
+    u_switch = max(specfun._LEFT ** 2 - c, 0.0)
+    candidates = (
+        2.0 * (c * (1.0 - q2) + tail) / (3.0 * q2),  # stationary, w = r / c
+        2.0 * (c / math.e + (tail - c / math.e) / specfun._Q) / (3.0 * specfun._Q),
+        2.0 * (tail - c) / q2,  # piece ends: r = c and r = c / e
+        2.0 * (tail - c / math.e) / q2,
+        u_switch)
+    modes = [math.sqrt(u) for u in (min(max(u, 0.0), u_switch) for u in candidates) if u > 0.0]
     if c < specfun._LEFT ** 2:
         x_switch = math.sqrt(specfun._LEFT ** 2 - c)
         modes += [x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6)]
@@ -476,6 +512,12 @@ class TestStudentTQuantile:
                 calls.clear()
                 specfun.student_t_quantile((1.0 + level) / 2.0, df)
                 assert len(calls) <= 8, (df, level, len(calls))
+
+    def test_cdf_at_huge_and_nan_t(self):
+        # x = df / (df + t^2) rounds to 0 at |t| = 1e200: the tail is all or nothing
+        assert student_t_cdf(1e200, 3.0) == 1.0 and student_t_cdf(-1e200, 3.0) == 0.0
+        with pytest.raises(DomainError):
+            student_t_cdf(math.nan, 3.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
