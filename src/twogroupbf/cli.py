@@ -240,8 +240,9 @@ def _write_curves(path: str, data, prior_scale: float) -> None:
     prior = CauchyPrior(scale=prior_scale)
     center = stats.t_obs / math.sqrt(stats.n_eff)
     spread = 8.0 / math.sqrt(stats.n_eff)
-    lo = min(-6.0 * prior.scale, center - spread)
-    hi = max(6.0 * prior.scale, center + spread)
+    half = min(6.0 * prior.scale, sys.float_info.max / 4.0)  # so that hi - lo is finite
+    lo = min(-half, center - spread)
+    hi = max(half, center + spread)
     curves = emit_density_curves(stats, prior, Interval(lo, hi))
     with open(path, "w") as handle:
         write_curves_csv(handle, *curves)
@@ -254,22 +255,21 @@ def parse_and_run(argv) -> int:
         data = _study_input(args)
         spec = _test_spec(args)
         if args.subcommand == "sweep":
-            sweep = prior_sweep(data, spec, args.scales)
-            if args.format == "json":
-                sys.stdout.write(render_json(sweep))
-            else:
-                sys.stdout.write(render_sweep_text(sweep))
-            for e in sweep.entries:
-                if e.error is not None:
-                    print(f"scale {e.scale:g} failed: {e.error}", file=sys.stderr)
+            result = prior_sweep(data, spec, args.scales)
         else:
             result = run_test(data, spec, args.prior_scale)
-            if args.format == "json":
-                sys.stdout.write(render_json(result))
-            else:
-                sys.stdout.write(render_text(result))
-        if args.curves:
+        if args.curves:  # before the report, so that a failure leaves stdout empty
             _write_curves(args.curves, data, args.prior_scale)
+        if args.format == "json":
+            sys.stdout.write(render_json(result))
+        elif args.subcommand == "sweep":
+            sys.stdout.write(render_sweep_text(result))
+        else:
+            sys.stdout.write(render_text(result))
+        if args.subcommand == "sweep":
+            for e in result.entries:
+                if e.error is not None:
+                    print(f"scale {e.scale:g} failed: {e.error}", file=sys.stderr)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # ValidationError and DomainError are ValueErrors

@@ -21,7 +21,7 @@ beneficial, so both directions share one code path and mirror exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -274,63 +274,40 @@ def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float) -> 
     return math.exp(float(log_post) - float(prior.logpdf(delta0)))
 
 
-# Each design lays its hypotheses out on the effect axis: the region of
-# delta in play, the cuts that split it into pieces, and which pieces make
-# up H1 and H0.  H0 = None is the point null delta = 0.  The layout also
-# carries the fields its report shows.
-
-@dataclass(frozen=True)
-class _Layout:
-    region: Interval = _WHOLE_LINE
-    cuts: Tuple[float, ...] = ()
-    h1: Tuple[int, ...] = (0,)
-    h0: Optional[Tuple[int, ...]] = None
-    fields: dict = field(default_factory=dict)
-
-
-def _superiority(spec: TestSpec, stats: DerivedStats) -> _Layout:
-    region = _WHOLE_LINE if spec.alternative == "two_sided" else Interval(0.0, math.inf)
-    return _Layout(region, fields={"alternative": spec.alternative})
-
-
-def _non_inferiority(spec: TestSpec, stats: DerivedStats) -> _Layout:
-    # H0: delta < -margin versus H1: delta > -margin, in benefit-oriented units
-    margin_std = standardize_margin(spec.ni_margin, spec.ni_margin_std, stats)
-    margin_unstd = spec.ni_margin if not spec.ni_margin_std else spec.ni_margin * stats.sd_pooled
-    return _Layout(cuts=(-margin_std,), h1=(1,), h0=(0,),
-                   fields={"margin_std": margin_std, "margin_unstd": margin_unstd})
-
-
-def _equivalence(spec: TestSpec, stats: DerivedStats) -> _Layout:
-    # H0: delta inside the interval, in benefit-oriented units; (0, 0) is
-    # the point null
+def _hypotheses(spec: TestSpec, stats: DerivedStats) -> tuple:
+    """``spec``'s table row: the orientation of the reported BF, the region
+    of delta in play, the cuts that split it into pieces, which pieces make
+    up H1 and which H0 (None: the point null delta = 0), and the fields its
+    report shows.  Effects are in benefit-oriented units."""
+    if spec.design == "superiority":
+        region = _WHOLE_LINE if spec.alternative == "two_sided" else Interval(0.0, math.inf)
+        return "bf10", region, (), (0,), None, {"alternative": spec.alternative}
+    if spec.design == "non_inferiority":  # H0: delta < -margin versus H1: delta > -margin
+        margin_std = standardize_margin(spec.ni_margin, spec.ni_margin_std, stats)
+        margin_unstd = spec.ni_margin if not spec.ni_margin_std else spec.ni_margin * stats.sd_pooled
+        return ("bf10", _WHOLE_LINE, (-margin_std,), (1,), (0,),
+                {"margin_std": margin_std, "margin_unstd": margin_unstd})
+    # equivalence, H0: delta inside the interval; (0, 0) is the point null
     lo, hi = (standardize_margin(v, spec.interval_std, stats) for v in spec.interval)
     unstd = (tuple(v * stats.sd_pooled for v in spec.interval) if spec.interval_std
              else spec.interval)
     fields = {"interval_std": (lo, hi), "interval_unstd": unstd}
     if lo == hi == 0.0:
-        return _Layout(fields=fields)
+        return "bf01", _WHOLE_LINE, (), (0,), None, fields
     if lo == hi:
         raise ValidationError("a point equivalence hypothesis must sit at 0")
-    return _Layout(cuts=(lo, hi), h1=(0, 2), h0=(1,), fields=fields)
+    return "bf01", _WHOLE_LINE, (lo, hi), (0, 2), (1,), fields
 
 
-# design -> (orientation of the reported BF, layout)
-_DESIGNS = {
-    "superiority": ("bf10", _superiority),
-    "non_inferiority": ("bf10", _non_inferiority),
-    "equivalence": ("bf01", _equivalence),
-}
-
-
-def _log_prior_masses(hyp: _Layout, prior: CauchyPrior) -> list:
-    """ln prior mass of H1 and of H0; the point null holds all of its mass
-    at delta = 0."""
-    edges = (hyp.region.lower, *hyp.cuts, hyp.region.upper)
+def _log_prior_masses(region: Interval, cuts: Tuple[float, ...], pieces: tuple,
+                      prior: CauchyPrior) -> list:
+    """ln prior mass of H1 and of H0, given as ``pieces`` of the region; the
+    point null holds all of its mass at delta = 0."""
+    edges = (region.lower, *cuts, region.upper)
     masses = [prior.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
     log_prior = []
-    for name, pieces in (("H1", hyp.h1), ("H0", hyp.h0)):
-        mass = 1.0 if pieces is None else sum(masses[k] for k in pieces)
+    for name, ks in zip(("H1", "H0"), pieces):
+        mass = 1.0 if ks is None else sum(masses[k] for k in ks)
         if not mass >= _MIN_REGION_PRIOR_MASS:
             raise ValidationError(f"{name} carries essentially no prior mass ({mass:.3g})")
         log_prior.append(math.log(mass))
@@ -347,46 +324,45 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
     mass, or the log likelihood at delta = 0 for the point null.  All
     scales share one quadrature pass, one integrand row each.
     """
-    orientation, layout = _DESIGNS[spec.design]
-    hyp = layout(spec, stats)
-    outcomes, log_priors = {}, {}
-    for i, scale in enumerate(scales):
+    orientation, region, cuts, h1, h0, fields = _hypotheses(spec, stats)
+    # each scale's prior-mass error, or its log prior masses until its result
+    outcomes = []
+    for scale in scales:
         try:
-            log_priors[i] = _log_prior_masses(hyp, CauchyPrior(scale=scale))
+            outcomes.append(_log_prior_masses(region, cuts, (h1, h0), CauchyPrior(scale=scale)))
         except ValidationError as exc:
-            outcomes[i] = exc
-    live = list(log_priors)
+            outcomes.append(exc)
+    live = [i for i, o in enumerate(outcomes) if isinstance(o, list)]
     if live:
         t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
         try:
             joint, features = _log_joint(stats, t_c, [scales[i] for i in live])
-            rows = integrate_log(joint, hyp.region, hyp.cuts, features)
+            rows = integrate_log(joint, region, cuts, features)
         except QuadratureError as exc:  # the integrand or the cuts fail every scale
             rows = [exc] * len(live)
         input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
         # the point null's likelihood, the same at every scale
-        log_point = float(specfun.central_t_logpdf(t_c, stats.df)) if hyp.h0 is None else math.nan
+        log_point = float(specfun.central_t_logpdf(t_c, stats.df)) if h0 is None else math.nan
         for i, log_m in zip(live, rows):
+            where = f"{spec.design} at prior scale {scales[i]:.6g}"
             if isinstance(log_m, QuadratureError):
-                outcomes[i] = QuadratureError(
-                    f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
-                    log_m.best_log_estimate, log_m.log_error_bound)
+                outcomes[i] = QuadratureError(f"{where}: {log_m}", log_m.best_log_estimate,
+                                              log_m.log_error_bound)
                 continue
-            log_avg = [(log_point if pieces is None
-                        else float(np.logaddexp.reduce([log_m[k] for k in pieces]))) - log_p
-                       for pieces, log_p in zip((hyp.h1, hyp.h0), log_priors[i])]
+            log_avg = [(log_point if ks is None
+                        else float(np.logaddexp.reduce([log_m[k] for k in ks]))) - log_p
+                       for ks, log_p in zip((h1, h0), outcomes[i])]
             log_bf10 = log_avg[0] - log_avg[1]
             if not math.isfinite(log_bf10):
                 outcomes[i] = QuadratureError(
-                    f"{spec.design} at prior scale {scales[i]:.6g}: the log Bayes factor is "
-                    f"not finite (log average likelihood {log_avg[0]!r} under H1, "
-                    f"{log_avg[1]!r} under H0)", log_bf10, math.inf)
+                    f"{where}: the log Bayes factor is not finite (log average likelihood "
+                    f"{log_avg[0]!r} under H1, {log_avg[1]!r} under H0)", log_bf10, math.inf)
                 continue
             outcomes[i] = BfResult(
                 log_bf=log_bf10 if orientation == "bf10" else -log_bf10,
                 orientation=orientation, design=spec.design, direction=spec.direction,
-                prior_scale=scales[i], input_mode=input_mode, **hyp.fields)
-    return [outcomes[i] for i in range(len(scales))]
+                prior_scale=scales[i], input_mode=input_mode, **fields)
+    return outcomes
 
 
 def run_test(data: StudyInput, spec: TestSpec,

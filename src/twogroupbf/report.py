@@ -179,7 +179,8 @@ def emit_density_curves(stats: DerivedStats, prior: CauchyPrior, region: Interva
         raise ValueError("need at least 2 curve points")
     if not region.is_finite:
         raise ValueError("curve emission needs a finite range")
-    delta = np.linspace(region.lower, region.upper, points)
+    # halved, so that linspace's upper - lower stays finite on any finite range
+    delta = 2.0 * np.linspace(region.lower / 2.0, region.upper / 2.0, points)
     with np.errstate(over="ignore"):
         prior_density = np.exp(prior.logpdf(delta))
         posterior_density = np.exp(posterior_log_density(delta, stats, prior))

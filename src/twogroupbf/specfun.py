@@ -95,8 +95,10 @@ def cauchy_logpdf(x, scale):
     scales = scale.ravel().tolist()
     if not all(s > 0.0 for s in scales):
         raise DomainError("cauchy_logpdf requires scale > 0")
-    # libm's log for the normalizer, whose last bit numpy's log may not match
-    neg_log_norm = np.array([-math.log(math.pi * s) for s in scales]).reshape(scale.shape)
+    # libm's log for the normalizer, whose last bit numpy's log may not match;
+    # split where pi * scale passes the float range
+    neg_log_norm = np.array([-math.log(math.pi * s) if math.pi * s < math.inf
+                             else -(LN_PI + math.log(s)) for s in scales]).reshape(scale.shape)
     with np.errstate(over="ignore", divide="ignore"):  # ln 0 = -inf only where not taken
         z2 = np.square(np.asarray(x, dtype=float) / scale)
         log1p_z2 = np.log1p(z2)

@@ -507,6 +507,15 @@ class TestValidationAndExitCodes:
             assert proc.returncode == status
             assert len(proc.stderr.splitlines()) == (status != 0), proc.stderr
 
+    def test_prior_scale_past_max_over_pi(self, capsys):
+        # pi * scale overflows past 5.72e307; the prior's density does not
+        rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
+                            "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1",
+                            "--prior-scale", "1e308", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert json.loads(captured.out)["log_bf"] == pytest.approx(-709.3308342, abs=1e-7)
+
     def test_huge_sds_pool_without_overflow(self, capsys):
         small = ["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5"]
         assert parse_and_run([*small, "--sd-x", "1", "--sd-y", "2", "--format", "json"]) == 0
@@ -560,8 +569,26 @@ class TestCurves:
         rc = parse_and_run(["super", "--n-x", "20", "--n-y", "20", "--mean-x", "0",
                             "--mean-y", "0.4", "--sd-x", "1", "--sd-y", "1",
                             "--curves", str(tmp_path / "missing" / "x.csv")])
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "No such file or directory" in capsys.readouterr().err
+        # the curves come before the report, so the failure prints no report
+        assert "No such file or directory" in captured.err and captured.out == ""
+
+    def test_curves_at_prior_scales_up_to_the_float_max(self, tmp_path):
+        # +-6 scale passes the float range from 3e307 and linspace's
+        # upper - lower from 1.5e307; a fresh interpreter shows any warning
+        env = {**os.environ, "PYTHONPATH": str(Path(twogroupbf.__file__).resolve().parents[1])}
+        out = tmp_path / "curves.csv"
+        for scale in ("1.6e307", "3e307", "1.7e308", repr(sys.float_info.max)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "twogroupbf.cli", "super", "--n-x", "20", "--n-y", "20",
+                 "--mean-x", "0", "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1",
+                 "--prior-scale", scale, "--curves", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), scale
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 512
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_curves_file_written(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

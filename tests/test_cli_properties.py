@@ -4,15 +4,18 @@ Every invocation drawn here must end in exit 0 with a finite log Bayes
 factor, or in one documented error line with exit 2 (invalid input) or 3
 (numerical failure); the suite's ``error::RuntimeWarning`` filter turns any
 stray numpy warning into a failure.  Finiteness alone cannot see a wrong
-answer, so two laws that are exact in their own regimes are checked too:
-mirrored data under the flipped direction give the same log BF, and at
-prior scales far below the likelihood's peak the log BF moves by exactly
-ln(s1 / s2).
+answer, so laws that are exact in their own regimes are checked too:
+mirrored data under the flipped direction give the same log BF; at prior
+scales far below the likelihood's peak the log BF moves by exactly
+ln(s1 / s2), and far above it by ln(s2 / s1); at large t it follows the
+large-t law.  A share of the draws also writes density curves, whose every
+value must be finite.
 """
 
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,14 +25,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twogroupbf import cli
-from twogroupbf.datamodel import derive_stats
+from twogroupbf.datamodel import _max_abs_t, derive_stats
 
 # magnitudes from 1e-300 to 1e300, log-uniform
 MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: float(10.0 ** e))
 SIGNED = st.tuples(st.booleans(), MAGNITUDES).map(lambda p: -p[1] if p[0] else p[1])
 SIZES = st.floats(math.log10(2.0), 9.0).map(lambda e: int(round(10.0 ** e)))
-# half of the prior scales sit at the default's neighbourhood
-SCALES = st.one_of(st.just(0.707), MAGNITUDES)
+# a third of the prior scales sit at the default's neighbourhood, and a
+# third from 1e300 up to the float max
+HUGE = st.one_of(st.floats(300.0, 308.25).map(lambda e: float(10.0 ** e)),
+                 st.just(sys.float_info.max))
+SCALES = st.one_of(st.just(0.707), MAGNITUDES, HUGE)
 CI_LEVELS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999])
 FORMS = ("moments", "ci", "raw", "raw_split")
 
@@ -65,12 +71,14 @@ def invocations(draw, subcommand):
             ["--ni-margin-std"] if draw(st.booleans()) else [])
     else:
         interval = draw(st.one_of(st.just([0.0]), st.lists(SIGNED, min_size=1, max_size=2)))
+        case["point_null"] = interval == [0.0]
         case["design_flags"] = ["--interval", *map(_num, interval)] + (
             ["--interval-std"] if draw(st.booleans()) else [])
     if subcommand == "sweep":
         case["scales"] = draw(st.lists(SCALES, min_size=1, max_size=3))
     else:
         case["scale"] = draw(SCALES)
+        case["curves"] = draw(st.integers(0, 3)) == 0
     return case
 
 
@@ -86,12 +94,14 @@ def _argv(case, folder, mirror=False, scales=None):
         argv = ["sweep", "--design", case["design"],
                 "--scales", *map(_num, scales or case["scales"])]
     argv += case["design_flags"] + ["--direction", direction, "--format", "json"]
+    tag = "m" if mirror else "p"
     if scales is None and case["subcommand"] != "sweep":
         argv += ["--prior-scale", _num(case["scale"])]
+        if case["curves"]:
+            argv += ["--curves", str(Path(folder) / f"{tag}curves.csv")]
     form = case["form"]
     if form in ("raw", "raw_split"):
         x, y = ([sign * v for v in case[g]] for g in ("x", "y"))
-        tag = "m" if mirror else "p"
         if form == "raw":
             path = Path(folder) / f"{tag}.csv"
             rows = [f"x,{_num(v)}" for v in x] + [f"y,{_num(v)}" for v in y]
@@ -110,9 +120,9 @@ def _argv(case, folder, mirror=False, scales=None):
 
 
 def _run(argv):
-    """parse_and_run in-process: exit code, stdout and stderr, checked
-    against the CLI's contract; the log BFs of a success (None for a failed
-    sweep entry)."""
+    """parse_and_run in-process: exit code, stdout, stderr and any curves
+    file, checked against the CLI's contract; the log BFs of a success (None
+    for a failed sweep entry)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli.parse_and_run(argv)
@@ -131,6 +141,10 @@ def _run(argv):
     failed = [e for e in entries if "error" in e]
     assert len(lines) == len(failed), (err, argv)
     assert all(line.startswith("scale ") and " failed: " in line for line in lines), err
+    if "--curves" in argv:
+        rows = Path(argv[argv.index("--curves") + 1]).read_text().splitlines()[1:]
+        assert len(rows) == 512
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), argv
     return rc, log_bfs
 
 
@@ -156,6 +170,24 @@ def _tail_law(case, folder):
         assert err <= 1e-6 + 1e-12 * abs(log1), (case, s1, s2, log1, log2)
 
 
+def _wide_law(case, folder):
+    """At scales far above the likelihood's peak |delta*| and its width, the
+    prior is flat across the likelihood at height 1 / (pi s), so ln BF10(s)
+    = -ln(s) + a constant to O(delta*^2 / s^2); the point null's BF01 is its
+    reciprocal.  Checked from s1 = 1e8 max(1, |delta*|) up to the float max,
+    where every scale must succeed."""
+    args = cli._build_parser().parse_args(_argv(case, folder))
+    stats = derive_stats(cli._study_input(args))
+    s1 = 1e8 * max(1.0, abs(stats.t_obs) / math.sqrt(stats.n_eff))
+    scales = [s for s in (s1, 1e100 * s1, 1e200 * s1, sys.float_info.max) if s1 <= s < math.inf]
+    rc, log_bfs = _run(_argv(case, folder, scales=scales))
+    assert rc == 0 and None not in log_bfs, (case, scales, log_bfs)
+    sign = -1.0 if case["design"] == "equiv" else 1.0
+    for s2, log2 in zip(scales[1:], log_bfs[1:]):
+        err = abs(sign * (log_bfs[0] - log2) - math.log(s2 / s1))
+        assert err <= 1e-6 + 1e-12 * abs(log_bfs[0]), (case, s1, s2, log_bfs)
+
+
 @pytest.mark.parametrize("subcommand", ["super", "infer", "equiv", "sweep"])
 def test_every_invocation_ends_in_a_documented_way(subcommand):
     @given(invocations(subcommand))
@@ -168,5 +200,47 @@ def test_every_invocation_ends_in_a_documented_way(subcommand):
             assert (mirror_rc, mirror_log_bfs) == (rc, log_bfs), case
             if rc == 0 and subcommand == "super":
                 _tail_law(case, folder)
+            if rc == 0 and (subcommand == "super" or subcommand == "equiv" and case["point_null"]):
+                _wide_law(case, folder)
 
     check()
+
+
+def _large_t(n_x, n_y, t, scale):
+    """ln BF10 of two-sided and one-sided superiority at t, from moments
+    through the CLI, and (df - 1) ln t at the t the CLI derives; None where
+    a run does not exit 0."""
+    sd = _num(1.0 / (t * math.sqrt(1.0 / n_x + 1.0 / n_y)))
+    argv = ["super", "--n-x", str(n_x), "--n-y", str(n_y), "--mean-x", "0", "--mean-y", "1",
+            "--sd-x", sd, "--sd-y", sd, "--prior-scale", _num(scale), "--format", "json"]
+    stats = derive_stats(cli._study_input(cli._build_parser().parse_args(argv)))
+    runs = [_run(argv + ["--alternative", alt]) for alt in ("two_sided", "one_sided")]
+    if any(rc != 0 for rc, _ in runs):
+        return None
+    return [log_bfs[0] for _, log_bfs in runs], (stats.df - 1.0) * math.log(stats.t_obs)
+
+
+@given(SIZES, SIZES, st.floats(0.0, 1.0), st.floats(8.0, 300.0))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_large_t_follows_its_law(n_x, n_y, u, k):
+    """At t far past sqrt(df) and a prior scale s far below the likelihood's
+    peak, ln BF10 = C(df, s) + (df - 1) ln t for either alternative, and the
+    one-sided BF is twice the two-sided one.  The next terms are df^2 / (2 t^2)
+    and O(1 / BF10), so t starts at max(1e6, 1e4 df) and the laws apply where
+    ln BF10 >= 50.  Runs that end in exit 3 are left out: at n >= 1e8 per
+    group the density's rounding noise keeps the quadrature from
+    converging, a documented numerical failure."""
+    df = n_x + n_y - 2.0
+    t1 = max(1e6, 1e4 * df)
+    t2 = t1 * (0.999999 * _max_abs_t(df) / t1) ** u
+    scale = max(1e-300, 10.0 ** -k * t1 * math.sqrt(1.0 / n_x + 1.0 / n_y))
+    runs = [_large_t(n_x, n_y, t, scale) for t in (t1, t2)]
+    if None in runs or min(v for log_bfs, _ in runs for v in log_bfs) < 50.0:
+        return
+    (log1, law1), (log2, law2) = runs
+    for a, b in zip(log1, log2):  # rounding of ln BF10 and (df - 1) ln t at df ~ 1e9
+        assert b - law2 == pytest.approx(a - law1, abs=1e-6 + 1e-15 * abs(law2))
+    for log_bfs in (log1, log2):
+        assert log_bfs[1] - log_bfs[0] == pytest.approx(
+            math.log(2.0), abs=1e-12 + 1e-15 * abs(log_bfs[0]))

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -183,6 +184,31 @@ class TestTinyPriorScale:
         for scale in (1e-100, 1e-200, 1.5e-298):
             law = base + math.log(scale / 1e-10)
             assert super_bf(data, spec, scale).log_bf == pytest.approx(law, rel=1e-12)
+
+
+class TestHugePriorScale:
+    """n 20/20, d = 0.5: at scales far above the likelihood's peak the prior
+    is flat across it, at height 1 / (pi s), so ln BF10(s) = ln BF10(1e300) -
+    ln(s / 1e300) for either alternative, and the point null's BF01 mirrors
+    it.  Past max / pi ~ 5.72e307, pi s overflowed and these scales once
+    ended in a non-finite log Bayes factor."""
+    DATA = SummaryMoments(20, 20, 0.0, 0.5, 1.0, 1.0)
+    SCALES = (5.8e307, 1e308, 1.7e308, sys.float_info.max)
+
+    @pytest.mark.parametrize("alternative", ["two_sided", "one_sided"])
+    def test_superiority_follows_the_wide_prior_law(self, alternative):
+        spec = TestSpec.superiority(alternative=alternative)
+        base = super_bf(self.DATA, spec, 1e300).log_bf
+        for scale in self.SCALES:
+            law = base - math.log(scale / 1e300)
+            assert super_bf(self.DATA, spec, scale).log_bf == pytest.approx(law, rel=1e-12)
+
+    def test_point_null_follows_the_mirrored_law(self):
+        spec = TestSpec.equivalence(0.0)
+        base = equiv_bf(self.DATA, spec, 1e300).log_bf
+        for scale in self.SCALES:
+            law = base + math.log(scale / 1e300)
+            assert equiv_bf(self.DATA, spec, scale).log_bf == pytest.approx(law, rel=1e-12)
 
 
 HUGE_T = (1e12, 1e14, 1e16, 1e18, 1e30, 1e150)

@@ -149,6 +149,16 @@ class TestCauchy:
         assert cauchy_logpdf(x, 0.7).tolist() == alone
         assert cauchy_logpdf(x[:3], 0.7).tolist() == alone[:3]
 
+    def test_scales_past_the_overflow_of_pi_times_scale(self):
+        # past max / pi the normalizer is -(ln pi + ln scale), not ln(inf)
+        for scale in (1e308, sys.float_info.max):
+            norm = -(math.log(math.pi) + math.log(scale))
+            assert cauchy_logpdf(0.0, scale) == pytest.approx(norm, rel=1e-15)
+            assert cauchy_logpdf(-scale, scale) == pytest.approx(norm - math.log(2.0), rel=1e-15)
+        # an ordinary scale keeps its bits beside one past the overflow
+        pair = cauchy_logpdf(0.5, np.array([[0.7], [1e308]]))
+        assert pair[0, 0] == cauchy_logpdf(0.5, 0.7)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cauchy_logpdf(0.0, 0.0)
