@@ -120,8 +120,8 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--sd-y", type=float, help="experimental standard deviation")
     group.add_argument("--ci-margin", type=float,
                        help="half-width of the CI for the mean difference")
-    group.add_argument("--ci-level", type=float, default=0.95,
-                       help="confidence level of that CI (default 0.95)")
+    group.add_argument("--ci-level", type=float,
+                       help=f"confidence level of that CI (default {SummaryCi.ci_level})")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -180,16 +180,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _study_input(args):
-    moment_flags = [args.mean_x, args.mean_y, args.n_x, args.n_y]
+    summary_flags = [args.n_x, args.n_y, args.mean_x, args.mean_y, args.sd_x, args.sd_y,
+                     args.ci_margin, args.ci_level]
     has_raw = args.raw is not None
     has_split_raw = args.raw_x is not None or args.raw_y is not None
-    has_counts = all(v is not None for v in moment_flags)
     has_sds = args.sd_x is not None or args.sd_y is not None
     has_ci = args.ci_margin is not None
 
     if has_raw and has_split_raw:
         raise ValidationError("give either --raw or --raw-x/--raw-y, not both")
-    if (has_raw or has_split_raw) and (has_counts or has_sds or has_ci):
+    if (has_raw or has_split_raw) and any(v is not None for v in summary_flags):
         raise ValidationError("raw-data flags conflict with the summary-statistic flags")
     if has_raw:
         return read_raw_csv(args.raw)
@@ -198,11 +198,13 @@ def _study_input(args):
             raise ValidationError("both --raw-x and --raw-y are required")
         return RawGroups(x=_read_column(args.raw_x, "x"),
                          y=_read_column(args.raw_y, "y"))
-    if not has_counts:
+    if any(v is None for v in summary_flags[:4]):
         raise ValidationError("summary input needs --n-x, --n-y, --mean-x, and --mean-y "
                               "(or use --raw)")
     if has_sds and has_ci:
         raise ValidationError("give either --sd-x/--sd-y or --ci-margin, not both")
+    if args.ci_level is not None and not has_ci:
+        raise ValidationError("--ci-level needs --ci-margin")
     if has_sds:
         if args.sd_x is None or args.sd_y is None:
             raise ValidationError("both --sd-x and --sd-y are required")
@@ -210,9 +212,10 @@ def _study_input(args):
                               mean_x=args.mean_x, mean_y=args.mean_y,
                               sd_x=args.sd_x, sd_y=args.sd_y)
     if has_ci:
+        level = SummaryCi.ci_level if args.ci_level is None else args.ci_level
         return SummaryCi(n_x=args.n_x, n_y=args.n_y,
                          mean_x=args.mean_x, mean_y=args.mean_y,
-                         ci_margin=args.ci_margin, ci_level=args.ci_level)
+                         ci_margin=args.ci_margin, ci_level=level)
     raise ValidationError("no variability information: add --sd-x/--sd-y or --ci-margin")
 
 

@@ -153,13 +153,21 @@ class DerivedStats:
     sd_pooled pooled standard deviation in outcome units
     n_eff     n_x * n_y / (n_x + n_y); the noncentrality of the observed
               t statistic is delta * sqrt(n_eff)
-    t_obs     observed two-sample t statistic, oriented as y - x
+    t_obs     observed two-sample t statistic, oriented as y - x; refused
+              past _max_abs_t(df), where the likelihood is no longer computed
     """
 
     df: float
     sd_pooled: float
     n_eff: float
     t_obs: float
+
+    def __post_init__(self):
+        limit = _max_abs_t(self.df)
+        if not abs(self.t_obs) <= limit:
+            raise ValidationError(
+                f"the t statistic {self.t_obs!r} is too large: the likelihood at df "
+                f"{self.df:g} is computed for |t| <= {limit:.3g}")
 
 
 def pooled_sd(s: SummaryMoments) -> float:
@@ -220,19 +228,12 @@ def derive_stats(data: StudyInput) -> DerivedStats:
     n_x, n_y = data.n_x, data.n_y
     se = sd * math.sqrt(1.0 / n_x + 1.0 / n_y)
     t_obs = (data.mean_y - data.mean_x) / se if se > 0.0 else math.inf
-    df = float(n_x + n_y - 2)
-    limit = _max_abs_t(df)
-    if not abs(t_obs) <= limit:
-        raise ValidationError(
-            f"the t statistic (mean_y - mean_x) / SE = {t_obs!r} is too large: the likelihood "
-            f"at df {df:g} is computed for |t| <= {limit:.3g} (mean_x = {data.mean_x!r}, "
-            f"mean_y = {data.mean_y!r}, SE = {se!r})")
-    return DerivedStats(
-        df=df,
-        sd_pooled=sd,
-        n_eff=n_x * n_y / (n_x + n_y),
-        t_obs=t_obs,
-    )
+    try:
+        return DerivedStats(df=float(n_x + n_y - 2), sd_pooled=sd,
+                            n_eff=n_x * n_y / (n_x + n_y), t_obs=t_obs)
+    except ValidationError as exc:  # name the inputs the t statistic came from
+        raise ValidationError(f"{exc} (t = (mean_y - mean_x) / SE with mean_x = "
+                              f"{data.mean_x!r}, mean_y = {data.mean_y!r}, SE = {se!r})") from None
 
 
 def standardize_margin(value: float, is_standardized: bool, stats: DerivedStats) -> float:

@@ -43,6 +43,10 @@ def _format_bf(log_bf: float) -> str:
     return f"{mantissa:.{_SIGNIFICANT_DIGITS - 1}f}e{exponent:+03d}"
 
 
+def _format_scale(scale: float) -> str:
+    return f"{scale:.3f}" if 1e-3 <= scale < 1e4 else f"{scale:.2e}"
+
+
 def _row(label: str, value: str) -> str:
     return f"{label:<{_LABEL_WIDTH}}{value}"
 
@@ -95,7 +99,7 @@ def render_text(result: BfResult) -> str:
         "-" * len(title),
         _row("Data:", "raw data" if result.input_mode == "raw" else "summary data"),
         *_design_rows(result),
-        _row("Cauchy prior scale:", f"{result.prior_scale:.3f}"),
+        _row("Cauchy prior scale:", _format_scale(result.prior_scale)),
         "",
         f"    {_bf_label(result)} = {_format_bf(result.log_bf)}",
         _RULE,
@@ -107,12 +111,11 @@ def render_sweep_text(sweep: SweepResult) -> str:
     """Per-scale Bayes factors followed by min and max."""
     lines = [_RULE, "Prior scale sweep", "-" * len("Prior scale sweep")]
     for entry in sweep.entries:
+        outcome = f"error: {entry.error}"
         if entry.result is not None:
             label = _bf_label(entry.result)
-            value = _format_bf(entry.result.log_bf)
-            lines.append(f"scale = {entry.scale:.3f}    {label} = {value}")
-        else:
-            lines.append(f"scale = {entry.scale:.3f}    error: {entry.error}")
+            outcome = f"{label} = {_format_bf(entry.result.log_bf)}"
+        lines.append(f"scale = {_format_scale(entry.scale)}    {outcome}")
     if sweep.min_log_bf is not None:  # so some entry has a result, and a label
         lines += ["", f"min {label} = {_format_bf(sweep.min_log_bf)}",
                   f"max {label} = {_format_bf(sweep.max_log_bf)}"]

@@ -13,6 +13,7 @@ broadcast over numpy arrays, which the integration engine relies on.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -61,25 +62,23 @@ def _log_gamma_half_ratio(x):
 # ---------------------------------------------------------------------------
 
 def central_t_logpdf(t, df):
-    """ln density of Student's t with ``df`` degrees of freedom at ``t``."""
+    """ln density of Student's t with ``df`` degrees of freedom at ``t``, t^2 / df finite."""
     if df <= 0.0 or math.isnan(df):
         raise DomainError("central_t_logpdf requires df > 0")
-    with np.errstate(over="ignore"):  # t^2 = inf: a density of zero in any scale
-        return _central_t(np.asarray(t, dtype=float), df)[0]
+    with np.errstate(over="ignore"):  # t^2 = inf is refused by name
+        return _central_t(np.asarray(t, dtype=float), df)
 
 
 def _central_t(t, df):
     """central_t_logpdf for a float array ``t`` and a valid ``df``, under the
-    caller's errstate, and whether every t^2 / df, so every t^2, is finite."""
+    caller's errstate."""
     q = t * t / df
-    log1p_q = np.log1p(q)
-    finite = (q < math.inf).all()
-    if not finite:  # t^2 / df past the float range, but not its log
-        with np.errstate(all="ignore"):  # at t = 0 it is nan, and not taken
-            log_q = 2.0 * np.log(np.abs(t)) - math.log(df) + np.log1p(df / (t * t))
-        log1p_q = np.where(np.isinf(q), log_q, log1p_q)
+    if not (q < math.inf).all():  # NaN too
+        limit = math.sqrt(sys.float_info.max * min(df, 1.0))
+        raise DomainError(f"the t densities at df {df:g} are computed for |t| <= {limit:.3g}, "
+                          "where t^2 / df is in the float range")
     return (_log_gamma_half_ratio(df / 2.0) - 0.5 * (math.log(df) + LN_PI)
-            - ((df + 1.0) / 2.0) * log1p_q), finite
+            - ((df + 1.0) / 2.0) * np.log1p(q))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,6 @@ def _node_count(c):
     return math.ceil(steps) + 1
 
 
-_A_LAPLACE = 1e150  # largest a handed to the trapezoid where t^2 overflows
 _EVAL_CHUNK = 2048  # trapezoid rows per pass: bounds the (rows x nodes) work arrays
 
 
@@ -239,25 +237,17 @@ def noncentral_t_logpdf(t, df, ncp):
 
     The central t density times the likelihood ratio R, evaluated in log
     space from the scale-variable integral; see the module notes above.
-    Broadcasts over ``t`` and ``ncp``.
+    Broadcasts over ``t`` and ``ncp``; t^2 / df must be finite.
     """
     if df <= 0.0 or math.isnan(df):
         raise DomainError("noncentral_t_logpdf requires df > 0")
     t = np.asarray(t, dtype=float)
     ncp = np.asarray(ncp, dtype=float)
     with np.errstate(all="ignore"):
-        central, finite = _central_t(t, df)
+        central = _central_t(t, df)
         big_a = t * t + df
         gauss = ncp * ncp * df / (2.0 * big_a)
         a = ncp * t / np.sqrt(big_a)
-        if not finite:  # where t^2 is past the float range, both in units of t^2
-            over, u = np.isinf(big_a), 1.0 + df / t / t
-            a = np.where(over, ncp * np.sign(t) / np.sqrt(u), a)
-            gauss = np.where(over, (ncp / t) ** 2 * df / (2.0 * u), gauss)
-            # _log_hh's x*^2 overflows past a ~ 1.3e154; past _A_LAPLACE, I's peak is
-            # Gaussian to ~c^2 / a^2, so ln I(a) - ln I(_A_LAPLACE) = df ln(a / _A_LAPLACE)
-            gauss = gauss - df * np.log(np.maximum(a / _A_LAPLACE, 1.0))
-            a = np.minimum(a, _A_LAPLACE)
         # the a = 0 row, ln I(0), rides in the same trapezoid pass
         log_i = _log_hh(df, np.concatenate(([0.0], a), axis=None))
         out = central - gauss + (log_i[1:].reshape(gauss.shape) - log_i[0])

@@ -377,6 +377,39 @@ class TestValidationAndExitCodes:
         assert rc == 2
         assert "conflict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, stray", [
+        (["--raw", "{csv}"], ["--mean-x", "100"]),
+        (["--raw", "{csv}"], ["--n-x", "4"]),
+        (["--raw", "{csv}"], ["--ci-margin", "0.2"]),
+        (["--raw", "{csv}"], ["--ci-level", "0.9"]),
+        (["--raw-x", "{col}", "--raw-y", "{col}"], ["--n-x", "10"]),
+        (["--raw-x", "{col}", "--raw-y", "{col}"], ["--sd-y", "1"])])
+    def test_any_summary_flag_conflicts_with_raw_input(self, raw, stray, tmp_path, capsys):
+        # a lone summary flag beside raw input is an error, not ignored
+        csv_path, col_path = tmp_path / "d.csv", tmp_path / "col.txt"
+        csv_path.write_text("group,value\nx,1\nx,2\ny,3\ny,4\n")
+        col_path.write_text("1\n2\n3\n")
+        raw = [a.format(csv=csv_path, col=col_path) for a in raw]
+        assert parse_and_run(["super", *raw, *stray]) == 2
+        assert "conflict" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("variability", [["--sd-x", "1", "--sd-y", "1"], []])
+    def test_ci_level_needs_ci_margin(self, variability, capsys):
+        rc = parse_and_run(["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0",
+                            "--mean-y", "1", *variability, "--ci-level", "0.5"])
+        assert rc == 2
+        assert "--ci-level needs --ci-margin" in self._one_error_line(capsys)
+
+    def test_ci_level_defaults_to_0_95(self, capsys):
+        study = ["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0", "--mean-y", "1",
+                 "--ci-margin", "0.9", "--format", "json"]
+        assert parse_and_run(study) == 0
+        default = capsys.readouterr().out
+        assert parse_and_run([*study, "--ci-level", "0.95"]) == 0
+        assert capsys.readouterr().out == default
+        assert parse_and_run(["super", "--help"]) == 0
+        assert "confidence level of that CI (default 0.95)" in capsys.readouterr().out
+
     def test_sd_and_ci_conflict(self, capsys):
         rc = parse_and_run(["super", "--n-x", "10", "--n-y", "10", "--mean-x", "0",
                             "--mean-y", "1", "--sd-x", "1", "--sd-y", "1",

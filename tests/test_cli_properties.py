@@ -9,7 +9,7 @@ mirrored data under the flipped direction give the same log BF; at prior
 scales far below the likelihood's peak the log BF moves by exactly
 ln(s1 / s2), and far above it by ln(s2 / s1); at large t it follows the
 large-t law.  A share of the draws also writes density curves, whose every
-value must be finite.
+value must be finite.  A flag of another input form is refused.
 """
 
 import io
@@ -204,6 +204,30 @@ def test_every_invocation_ends_in_a_documented_way(subcommand):
                 _wide_law(case, folder)
 
     check()
+
+
+# flags of the other input forms: any summary flag beside raw input, a CI's
+# level beside sds, and an sd beside a CI
+STRAY_FLAGS = {
+    "raw": ("--n-x", "--n-y", "--mean-x", "--mean-y", "--sd-x", "--sd-y",
+            "--ci-margin", "--ci-level"),
+    "moments": ("--ci-level",),
+    "ci": ("--sd-x", "--sd-y"),
+}
+
+
+@given(st.sampled_from(["super", "infer", "equiv", "sweep"]).flatmap(invocations),
+       st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_stray_flag_from_another_input_form_is_refused(case, data):
+    """One flag of another input form is an error, never silently ignored."""
+    flag = data.draw(st.sampled_from(STRAY_FLAGS[case["form"].replace("_split", "")]))
+    value = str(data.draw(SIZES)) if flag in ("--n-x", "--n-y") else _num(
+        data.draw(CI_LEVELS if flag == "--ci-level" else MAGNITUDES))
+    with tempfile.TemporaryDirectory() as folder:
+        rc, _ = _run(_argv(case, folder) + [flag, value])
+    assert rc == 2, (case, flag, value)
 
 
 def _large_t(n_x, n_y, t, scale):

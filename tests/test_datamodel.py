@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_raw, raw_with_exact_moments
 from twogroupbf.datamodel import (
+    DerivedStats,
     RawGroups,
     SummaryCi,
     SummaryMoments,
@@ -192,6 +193,15 @@ class TestValidation:
         t = 0.999 * _max_abs_t(38.0)
         assert derive_stats(SummaryMoments(20, 20, 0.0, t * math.sqrt(0.1), 1.0, 1.0)).t_obs == (
             pytest.approx(t, rel=1e-12))
+
+    def test_hand_built_stats_past_the_limit(self):
+        # DerivedStats holds the one limit on |t|, so stats built by hand meet
+        # it too, and NaN and inf with it
+        for t in (2e153, -5e153, 1e154, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="at df 38 is computed for "
+                                                      "\\|t\\| <= 9.58e\\+152$"):
+                DerivedStats(df=38.0, sd_pooled=1.0, n_eff=10.0, t_obs=t)
+        assert DerivedStats(df=38.0, sd_pooled=1.0, n_eff=10.0, t_obs=-9e152).t_obs == -9e152
 
     def test_unsupported_input_type(self):
         with pytest.raises(ValidationError):

@@ -239,6 +239,23 @@ class TestHugeT:
             assert self._at(t, "one_sided") - self._at(t, "two_sided") == pytest.approx(
                 math.log(2.0), abs=1e-12)
 
+    def test_hand_built_stats_follow_the_law_up_to_the_limit(self):
+        # the posterior at delta = 0 falls as t^-(df - 1): ln p(0) + 37 ln t is
+        # flat up to the limit on |t|, and stats past it cannot be built, so no
+        # density or curve reads a wrong value there
+        prior = CauchyPrior(DEFAULT_PRIOR_SCALE)
+
+        def at(t):
+            stats = DerivedStats(df=38.0, sd_pooled=1.0, n_eff=10.0, t_obs=t)
+            return posterior_log_density(0.0, stats, prior) + 37.0 * math.log(t)
+
+        assert at(1e150) == pytest.approx(69.529178, abs=1e-6)
+        for t in (1e151, 1e152, 9e152, 0.999999 * _max_abs_t(38.0)):
+            assert at(t) == pytest.approx(at(1e150), abs=1e-9)
+        for t in (2e153, 5e153, 1e154):
+            with pytest.raises(ValidationError, match="computed for \\|t\\| <= 9.58e\\+152"):
+                at(t)
+
     @pytest.mark.parametrize("n", [2, 20, 5000, 1_000_000])
     def test_law_holds_up_to_the_limit_on_t(self, n):
         # just inside _max_abs_t the likelihood's peak is still in the float

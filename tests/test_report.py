@@ -171,6 +171,16 @@ class TestSweepText:
         assert "max BF10 (superiority) = 51.58" in text
 
 
+    def test_scales_outside_three_decimals_print_in_scientific_notation(self):
+        # three decimals read 0.000 below 0.001 and 300+ digits near the float max
+        data = SummaryMoments(10, 10, 0.0, 1.0, 1.0, 1.0)
+        sweep = prior_sweep(data, TestSpec.superiority(), [1e-4, 2e-4, 0.001, 9999.0, 1e4, 1e300])
+        rows = [line.split("    ")[0] for line in render_sweep_text(sweep).splitlines()[3:9]]
+        assert rows == ["scale = 1.00e-04", "scale = 2.00e-04", "scale = 0.001",
+                        "scale = 9999.000", "scale = 1.00e+04", "scale = 1.00e+300"]
+        block = render_text(super_bf(data, TestSpec.superiority(), 1e-5))
+        assert "Cauchy prior scale:           1.00e-05\n" in block
+
 class TestDensityCurves:
     def test_prior_column_at_zero(self):
         stats = derive_stats(SummaryMoments(10, 10, 0.0, 0.2, 1.0, 1.0))

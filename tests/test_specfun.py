@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -107,17 +108,19 @@ class TestCentralT:
 
     @pytest.mark.parametrize("df", [0.5, 0.9])
     def test_df_below_one_at_huge_t(self, df):
-        # t^2 / df overflows first for df < 1, where ln f is still finite
-        for t in (1e154, 1e200, 1e300):
+        # t^2 / df reaches the float range first for df < 1, at |t| = sqrt(max df):
+        # up to there ln f is right, and past it the densities refuse t by name
+        edge = math.sqrt(sys.float_info.max * df)
+        for t in (1e100, 1e150, 0.999 * edge):
             want = nct_logpdf_mpmath(t, df, 0.0)
             for got in (central_t_logpdf(t, df), central_t_logpdf(-t, df),
                         noncentral_t_logpdf(t, df, 0.0)):
                 assert got == pytest.approx(want, rel=1e-14)
-        # and continuous where t^2 / df reaches the float range: ln f falls
-        # as -(df + 1) ln t there
-        edge = math.sqrt(sys.float_info.max * df)
-        below, above = central_t_logpdf(np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]), df)
-        assert above - below == pytest.approx(-(df + 1.0) * 2e-9, rel=1e-3)
+        for t in (1.001 * edge, 1e155, 1e200, 1e300):
+            for call in (lambda: central_t_logpdf(t, df), lambda: central_t_logpdf(-t, df),
+                         lambda: noncentral_t_logpdf(t, df, 0.0)):
+                with pytest.raises(DomainError, match=re.escape(f"|t| <= {edge:.3g}")):
+                    call()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -375,19 +378,23 @@ class TestNoncentralT:
 
     @pytest.mark.parametrize("df", [2.0, 38.0])
     def test_past_the_overflow_of_t_squared(self, df):
-        """Where t^2 overflows, a and the Gaussian term are formed in units of
-        t^2: the noncentrality stays, and near the peak (ncp = t) the Gaussian
-        term is ~df / 2, not 0.  t = ncp = 1e50 and 1e100 are the peak below
-        that horizon, where a is as large."""
-        for t in (1e50, 1e100, 1e155, -1e155, 1e200, -1e200, 1e300):
+        """t = ncp = 1e50 and 1e100 are the peak at a large a, and match mpmath.
+        Where t^2 overflows, past |t| ~ 1.34e154, the densities refuse t by name,
+        alone or beside points inside the float range."""
+        for t in (1e50, -1e50, 1e100, -1e100):
             for ncp in (1.0, 5.0) + ((t,) if t > 0 else ()):
                 ref = nct_logpdf_mpmath(t, df, ncp)
                 got = noncentral_t_logpdf(t, df, ncp)
                 assert abs(got - ref) <= 1e-8 + 1e-14 * abs(ref), (t, ncp)
-        # a point keeps its value beside points past the horizon
-        t, ncp = np.array([0.0, 2.0, -1e155, 1e200]), np.array([1.0, 1.0, 5.0, 1e200])
+        # a point keeps its value beside points far from it
+        t, ncp = np.array([0.0, 2.0, -1e150, 1e100]), np.array([1.0, 1.0, 5.0, 1e100])
         alone = [noncentral_t_logpdf(float(a), df, float(b)) for a, b in zip(t, ncp)]
         assert noncentral_t_logpdf(t, df, ncp).tolist() == alone
+        for t in (1e155, -1e155, 1e200, 1e300):
+            for call in (lambda: central_t_logpdf(t, df), lambda: noncentral_t_logpdf(t, df, 5.0),
+                         lambda: noncentral_t_logpdf(np.array([0.0, 2.0, t]), df, 1.0)):
+                with pytest.raises(DomainError, match=re.escape("|t| <= 1.34e+154")):
+                    call()
 
     def test_domain(self):
         with pytest.raises(DomainError):
