@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 from .datamodel import RawGroups, SummaryCi, SummaryMoments, ValidationError, derive_stats
@@ -18,7 +17,7 @@ from .engine import (
     prior_sweep,
     run_test,
 )
-from .quadrature import Interval, QuadratureError
+from .quadrature import QuadratureError
 from .report import (
     emit_density_curves,
     render_json,
@@ -238,19 +237,6 @@ def _test_spec(args) -> TestSpec:
                                 standardized=args.interval_std, direction=args.direction)
 
 
-def _write_curves(path: str, data, prior_scale: float) -> None:
-    stats = derive_stats(data)
-    prior = CauchyPrior(scale=prior_scale)
-    center = stats.t_obs / math.sqrt(stats.n_eff)
-    spread = 8.0 / math.sqrt(stats.n_eff)
-    half = min(6.0 * prior.scale, sys.float_info.max / 4.0)  # so that hi - lo is finite
-    lo = min(-half, center - spread)
-    hi = max(half, center + spread)
-    curves = emit_density_curves(stats, prior, Interval(lo, hi))
-    with open(path, "w") as handle:
-        write_curves_csv(handle, *curves)
-
-
 def parse_and_run(argv) -> int:
     """Validate the invocation, run the engine, print the report."""
     try:
@@ -262,7 +248,9 @@ def parse_and_run(argv) -> int:
         else:
             result = run_test(data, spec, args.prior_scale)
         if args.curves:  # before the report, so that a failure leaves stdout empty
-            _write_curves(args.curves, data, args.prior_scale)
+            curves = emit_density_curves(derive_stats(data), CauchyPrior(scale=args.prior_scale))
+            with open(args.curves, "w") as handle:
+                write_curves_csv(handle, *curves)
         if args.format == "json":
             sys.stdout.write(render_json(result))
         elif args.subcommand == "sweep":

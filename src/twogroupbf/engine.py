@@ -8,10 +8,9 @@ Every test weighs two hypotheses about delta by their average likelihood
 and reports the ratio.  A hypothesis made of pieces of the delta axis
 averages the likelihood against the prior over those pieces (the
 interval-null odds of Morey & Rouder, 2011); the point null delta = 0
-takes the likelihood there.  Each design is one table row: the region of
-delta in play, the cuts that split it into pieces, and which pieces make
-up H1 and H0.  All pieces of one Bayes factor come from a single
-quadrature pass.
+takes the likelihood there.  Each design is one table row: the edges of
+the pieces of delta in play, and which pieces make up H1 and H0.  All
+pieces of one Bayes factor come from a single quadrature pass.
 
 A benefit direction of "low" is folded away at the door: the mean
 difference is negated and the computation proceeds as if high scores were
@@ -38,7 +37,7 @@ from .datamodel import (
     derive_stats,
     standardize_margin,
 )
-from .quadrature import Interval, QuadratureError, integrate_log
+from .quadrature import QuadratureError, integrate_log
 
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
@@ -62,7 +61,7 @@ DEFAULT_PRIOR_SCALE = 1.0 / math.sqrt(2.0)
 # likelihood is meaningless beyond it.
 _MIN_REGION_PRIOR_MASS = 1e-15
 
-_WHOLE_LINE = Interval(-math.inf, math.inf)
+_WHOLE_LINE = (-math.inf, math.inf)
 
 Design = Literal["superiority", "non_inferiority", "equivalence"]
 Direction = Literal["high", "low"]
@@ -217,8 +216,7 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     """ln of likelihood times prior density, as a function of a 1-D array
     of delta, with one row per prior scale (the likelihood is evaluated
     once per delta), and the features it has: the likelihood's peak near
-    t / sqrt(n_eff), as (delta, width, reach), and the prior spike at 0,
-    as (delta, width).
+    t / sqrt(n_eff), and the prior spike at 0, each as (delta, width, reach).
 
     For fixed t, ln f = -ncp^2 / 2 + ln Z(ncp t / sqrt(t^2 + df)), with Z
     the partition function of v^df e^(a v - v^2 / 2) on v > 0.  That
@@ -227,7 +225,7 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     [df / (df + t^2), 1].  So ln f has fallen HORIZON_NATS (T) below its
     peak by sqrt(2 T (1 + t^2 / df)) in ncp from it, and the peak lies
     within the feature's width of t: their sum is the reach.  The
-    heavy-tailed prior spike has none.
+    heavy-tailed prior spike has none: its reach is infinite.
     """
     sqrt_n = math.sqrt(stats.n_eff)
     column = np.asarray(scales, dtype=float)[:, None]
@@ -243,7 +241,7 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     width = math.hypot(1.0, t / math.sqrt(2.0 * stats.df))
     reach = width + math.sqrt(2.0 * HORIZON_NATS) * math.hypot(1.0, t / math.sqrt(stats.df))
     peak = (t / sqrt_n, width / sqrt_n, reach / sqrt_n)
-    return joint, (peak, (0.0, min(scales)))
+    return joint, (peak, (0.0, min(scales), math.inf))
 
 
 def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
@@ -253,7 +251,7 @@ def posterior_log_density(delta, stats: DerivedStats, prior: CauchyPrior):
     Broadcasts over ``delta``.
     """
     joint, features = _log_joint(stats, stats.t_obs, [prior.scale])
-    (row,) = integrate_log(joint, _WHOLE_LINE, (), features)
+    (row,) = integrate_log(joint, _WHOLE_LINE, features)
     if isinstance(row, QuadratureError):
         raise row
     (log_norm,) = row
@@ -275,17 +273,17 @@ def savage_dickey_bf(stats: DerivedStats, prior: CauchyPrior, delta0: float) -> 
 
 
 def _hypotheses(spec: TestSpec, stats: DerivedStats) -> tuple:
-    """``spec``'s table row: the orientation of the reported BF, the region
-    of delta in play, the cuts that split it into pieces, which pieces make
-    up H1 and which H0 (None: the point null delta = 0), and the fields its
-    report shows.  Effects are in benefit-oriented units."""
+    """``spec``'s table row: the orientation of the reported BF, the edges
+    of the pieces of delta in play, which pieces make up H1 and which H0
+    (None: the point null delta = 0), and the fields its report shows.
+    Effects are in benefit-oriented units."""
     if spec.design == "superiority":
-        region = _WHOLE_LINE if spec.alternative == "two_sided" else Interval(0.0, math.inf)
-        return "bf10", region, (), (0,), None, {"alternative": spec.alternative}
+        edges = _WHOLE_LINE if spec.alternative == "two_sided" else (0.0, math.inf)
+        return "bf10", edges, (0,), None, {"alternative": spec.alternative}
     if spec.design == "non_inferiority":  # H0: delta < -margin versus H1: delta > -margin
         margin_std = standardize_margin(spec.ni_margin, spec.ni_margin_std, stats)
         margin_unstd = spec.ni_margin if not spec.ni_margin_std else spec.ni_margin * stats.sd_pooled
-        return ("bf10", _WHOLE_LINE, (-margin_std,), (1,), (0,),
+        return ("bf10", (-math.inf, -margin_std, math.inf), (1,), (0,),
                 {"margin_std": margin_std, "margin_unstd": margin_unstd})
     # equivalence, H0: delta inside the interval; (0, 0) is the point null
     lo, hi = (standardize_margin(v, spec.interval_std, stats) for v in spec.interval)
@@ -293,17 +291,15 @@ def _hypotheses(spec: TestSpec, stats: DerivedStats) -> tuple:
              else spec.interval)
     fields = {"interval_std": (lo, hi), "interval_unstd": unstd}
     if lo == hi == 0.0:
-        return "bf01", _WHOLE_LINE, (), (0,), None, fields
+        return "bf01", _WHOLE_LINE, (0,), None, fields
     if lo == hi:
         raise ValidationError("a point equivalence hypothesis must sit at 0")
-    return "bf01", _WHOLE_LINE, (lo, hi), (0, 2), (1,), fields
+    return "bf01", (-math.inf, lo, hi, math.inf), (0, 2), (1,), fields
 
 
-def _log_prior_masses(region: Interval, cuts: Tuple[float, ...], pieces: tuple,
-                      prior: CauchyPrior) -> list:
-    """ln prior mass of H1 and of H0, given as ``pieces`` of the region; the
-    point null holds all of its mass at delta = 0."""
-    edges = (region.lower, *cuts, region.upper)
+def _log_prior_masses(edges: Tuple[float, ...], pieces: tuple, prior: CauchyPrior) -> list:
+    """ln prior mass of H1 and of H0, given as ``pieces`` between ``edges``;
+    the point null holds all of its mass at delta = 0."""
     masses = [prior.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
     log_prior = []
     for name, ks in zip(("H1", "H0"), pieces):
@@ -324,12 +320,12 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
     mass, or the log likelihood at delta = 0 for the point null.  All
     scales share one quadrature pass, one integrand row each.
     """
-    orientation, region, cuts, h1, h0, fields = _hypotheses(spec, stats)
+    orientation, edges, h1, h0, fields = _hypotheses(spec, stats)
     # each scale's prior-mass error, or its log prior masses until its result
     outcomes = []
     for scale in scales:
         try:
-            outcomes.append(_log_prior_masses(region, cuts, (h1, h0), CauchyPrior(scale=scale)))
+            outcomes.append(_log_prior_masses(edges, (h1, h0), CauchyPrior(scale=scale)))
         except ValidationError as exc:
             outcomes.append(exc)
     live = [i for i, o in enumerate(outcomes) if isinstance(o, list)]
@@ -337,8 +333,8 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
         t_c = stats.t_obs if spec.direction == "high" else -stats.t_obs
         try:
             joint, features = _log_joint(stats, t_c, [scales[i] for i in live])
-            rows = integrate_log(joint, region, cuts, features)
-        except QuadratureError as exc:  # the integrand or the cuts fail every scale
+            rows = integrate_log(joint, edges, features)
+        except QuadratureError as exc:  # the integrand or the edges fail every scale
             rows = [exc] * len(live)
         input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
         # the point null's likelihood, the same at every scale

@@ -23,7 +23,6 @@ import numpy as np
 
 from .datamodel import DerivedStats, standardize_margin
 from .engine import CauchyPrior, TestSpec
-from .quadrature import Interval
 
 __all__ = ["GridSpec", "default_span", "grid_bf", "nct_logpdf_mixture"]
 
@@ -51,21 +50,21 @@ def _log_trapezoid(log_f: np.ndarray, x: np.ndarray) -> float:
 class GridSpec:
     """Fixed effect-size grid for the trapezoid Bayes factors."""
 
-    span: Interval
+    span: tuple[float, float]  # (lower, upper)
     nodes: int = 1_000_001
 
     def __post_init__(self):
         if self.nodes < 100_000 or self.nodes % 2 == 0:
             raise ValueError("grid needs an odd node count of at least 1e5")
-        if not self.span.is_finite:
-            raise ValueError("grid span must be finite")
+        if not -math.inf < self.span[0] < self.span[1] < math.inf:
+            raise ValueError(f"grid span needs finite lower < upper, got {self.span}")
 
 
-def default_span(prior: CauchyPrior) -> Interval:
+def default_span(prior: CauchyPrior) -> tuple[float, float]:
     """Symmetric span leaving less than 1e-10 of the prior's mass outside."""
     # aim at 0.9e-10 so rounding cannot push the uncovered mass over 1e-10
     half = prior.scale * math.tan(math.pi * (0.5 - 0.45 * _SPAN_TAIL))
-    return Interval(-half, half)
+    return (-half, half)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +189,9 @@ class _ThetaGrid:
 
     def __init__(self, prior: CauchyPrior, grid: GridSpec, split_points):
         self.scale = prior.scale
-        th_lo = math.atan(grid.span.lower / prior.scale)
-        th_hi = math.atan(grid.span.upper / prior.scale)
-        theta = np.linspace(th_lo, th_hi, grid.nodes)
-        inserts = [math.atan(x / prior.scale) for x in split_points
-                   if grid.span.lower < x < grid.span.upper]
+        lo, hi = grid.span
+        theta = np.linspace(math.atan(lo / prior.scale), math.atan(hi / prior.scale), grid.nodes)
+        inserts = [math.atan(x / prior.scale) for x in split_points if lo < x < hi]
         if inserts:
             theta = np.unique(np.concatenate([theta, np.asarray(inserts)]))
         self.theta = theta

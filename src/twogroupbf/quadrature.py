@@ -2,15 +2,15 @@
 
 ``integrate_log`` takes a log-integrand f with one row per integrand (a
 prior sweep's scales, say) and returns ln of each row's integral of exp(f)
-over each piece of an interval, whose endpoints may be infinite, between
-given cut points.  All bookkeeping stays in log space: the integrands
+over each piece between consecutive edges, of which the first and last
+may be infinite.  All bookkeeping stays in log space: the integrands
 this package feeds in routinely span thousands of nats, and the
 interesting region integrals can be smaller than 1e-300 in linear scale.
 
-Every region goes through one change of variables, x = s tan(u), with s
-spanning every point the caller names (features, cuts and finite ends):
+Every piece goes through one change of variables, x = s tan(u), with s
+spanning every point the caller names (features and finite edges):
 each of them then sits at |u| <= pi/4, where x keeps full relative
-precision at any magnitude, and an infinite end is u = +-pi/2.  The
+precision at any magnitude, and an infinite edge is u = +-pi/2.  The
 initial panels of each piece cluster geometrically around the features,
 down to each feature's width, so that sharp peaks are resolved from the
 first pass, and out no further than a light-tailed feature's reach, past
@@ -24,39 +24,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Interval", "QuadratureError", "integrate_log"]
+__all__ = ["QuadratureError", "integrate_log"]
 
 _REL_TOL = 1e-8
 _ABS_TOL_LOG = 1e-12  # absolute floor on the linear (shifted) scale
 _MAX_SUBDIVISIONS = 2000
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Open integration region; either endpoint may be +-inf."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError("interval endpoints must not be NaN")
-        if not self.lower < self.upper:
-            raise ValueError(f"interval requires lower < upper, got ({self.lower}, {self.upper})")
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-
 class QuadratureError(RuntimeError):
     """A quadrature that failed: a row that did not converge, or an
-    integrand or cuts that no row can be integrated with.
+    integrand or edges that no row can be integrated with.
 
     Carries the best available answer so callers can decide to proceed.
     """
@@ -171,60 +152,60 @@ def _piece_logsumexp(owner, pieces: int, *arrays):
     return out
 
 
-def integrate_log(f, region: Interval, cuts: Sequence[float],
-                  features: Sequence[tuple]) -> list:
-    """ln of the integral of exp(f(x)) dx over each piece of ``region``,
-    for each row of ``f``.
+def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
+    """ln of the integral of exp(f(x)) dx over each piece between
+    consecutive ``edges``, for each row of ``f``.
 
     ``f`` maps a numpy array of n abscissae to an (m, n) array of log
     values (-inf is fine, NaN and +inf are not): m integrands, one per row,
     that share every panel (as SciPy's ``quad_vec`` does for vector-valued
-    integrands); a 1-D return is one row.  Increasing interior ``cuts``
-    split the region into pieces, integrated in one pass with a breakpoint
-    forced at every cut (as QUADPACK's QAGP does).  Each piece starts from
+    integrands); a 1-D return is one row.  At least two strictly
+    increasing ``edges`` bound the pieces, integrated in one pass with a
+    breakpoint forced at every interior edge (as QUADPACK's QAGP does);
+    only the first and last may be infinite.  Each piece starts from
     panels clustered around every feature in ``features``, clipped into
-    it: the peaks and spikes of the rows.  A feature is ``(x, width)`` or
+    it: the peaks and spikes of the rows.  A feature is
     ``(x, width, reach)``.  Its breakpoints lie at x +- span/2, span/4, ...
     of the piece in the mapped variable, down to its width.  A reach is a
-    distance from x past which the feature is negligible (a light tail);
-    on each side of a feature that lies inside the piece, the ladder then
-    starts at the first level at or past the reach there, converted
-    through the map itself.  A feature clipped to a piece's edge (or into
-    the region) keeps its full ladder: the piece's mass lies at that edge,
-    in the feature's tail, however far down its peak that is.  So does a
-    pair, which a heavy tail needs: 2 / (pi K) of a Cauchy's mass lies
-    beyond K widths.  A structure no node sees can be missed; without
-    features, each piece starts as one panel.
+    distance from x past which the feature is negligible (a light tail;
+    ``math.inf`` for none); on each side of a feature that lies inside the
+    piece, the ladder then starts at the first level at or past the reach
+    there, converted through the map itself.  A feature clipped to a
+    piece's edge (or into the outer edges) keeps its full ladder: the
+    piece's mass lies at that edge, in the feature's tail, however far
+    down its peak that is.  So does one without a reach, which a heavy
+    tail needs: 2 / (pi K) of a Cauchy's mass lies beyond K widths.  A
+    structure no node sees can be missed; without features, each piece
+    starts as one panel.
 
     The result holds one entry per row: a list of that row's log integrals
-    per piece, in increasing x (one entry when there are no cuts), or, for
-    a row that did not converge, its own :class:`QuadratureError` naming
-    each unconverged piece, with the best estimate for the whole region
-    attached.  Each (row, piece) pair converges on its own: when its summed
-    panel error is below ``_REL_TOL`` relative to its integral, or below
-    ``_ABS_TOL_LOG`` on the linear scale shifted by its largest value on the
-    initial panels' nodes, so a far-tail piece keeps its relative accuracy.
-    A refinement round bisects every panel whose error is above an
-    unconverged pair's tolerance over its piece's panel count, for at most
+    per piece, in increasing x, or, for a row that did not converge, its
+    own :class:`QuadratureError` naming each unconverged piece, with the
+    best estimate for the whole region attached.  Each (row, piece)
+    pair converges on its own: when its summed panel error is below
+    ``_REL_TOL`` relative to its integral, or below ``_ABS_TOL_LOG`` on the
+    linear scale shifted by its largest value on the initial panels'
+    nodes, so a far-tail piece keeps its relative accuracy.  A refinement
+    round bisects every panel whose error is above an unconverged pair's
+    tolerance over its piece's panel count, for at most
     ``_MAX_SUBDIVISIONS`` bisections in all (the largest errors relative to
     their pieces first), and one bisection serves every row.  Only failures
     that hit every row raise :class:`QuadratureError`: a NaN or +inf
-    integrand value, or cuts that cannot be told apart.
+    integrand value, or edges that cannot be told apart.
     """
-    cuts = [float(c) for c in cuts]
-    if any(not region.lower < c < region.upper for c in cuts) or cuts != sorted(set(cuts)):
-        raise ValueError("cuts must increase strictly inside the region")
+    edges = [float(x) for x in edges]
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges[:-1], edges[1:])):
+        raise ValueError(f"edges must be at least two and increase strictly, got {edges}")
     # x = s tan(u) puts every named point (the features clipped into the
-    # region, the cuts, the finite ends) at |u| <= pi/4; s >= 1 keeps
+    # outer edges, the finite edges) at |u| <= pi/4; s >= 1 keeps
     # x = tan(u) where nothing named lies beyond 1
-    x_edges = [region.lower, *cuts, region.upper]
     named = []
-    for x, w, *reach in features:
+    for x, w, reach in features:
         x = float(x)
-        clipped = min(max(x, region.lower), region.upper)
-        # a reach counts only from a feature inside the region
-        named.append((clipped, float(w), float(reach[0]) if reach and clipped == x else math.inf))
-    s = max([1.0, *(abs(x) for x in x_edges + [x for x, _, _ in named] if math.isfinite(x))])
+        clipped = min(max(x, edges[0]), edges[-1])
+        # a reach counts only from a feature inside the outer edges
+        named.append((clipped, float(w), float(reach) if clipped == x else math.inf))
+    s = max([1.0, *(abs(x) for x in edges + [x for x, _, _ in named] if math.isfinite(x))])
     log_s = math.log(s)
 
     def g(u, f):
@@ -233,11 +214,11 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
             x = s * t
         return f(x) + np.log1p(t * t) + log_s  # ln dx/du
 
-    edges = [math.atan(x / s) for x in x_edges]  # +-pi/2 at infinite ends
-    if any(a >= b for a, b in zip(edges[:-1], edges[1:])):
-        raise QuadratureError(f"cuts {cuts} cannot be told apart from each other or from "
-                              "the region's ends at double precision", _NEG_INF, math.inf)
-    pieces = len(edges) - 1
+    u_edges = [math.atan(x / s) for x in edges]  # +-pi/2 at infinite ends
+    if any(a >= b for a, b in zip(u_edges[:-1], u_edges[1:])):
+        raise QuadratureError(f"edges {edges} cannot be told apart at double precision",
+                              _NEG_INF, math.inf)
+    pieces = len(u_edges) - 1
 
     # each feature in u, its width times du/dx = cos(u)^2 / s, and its reach
     # on either side through the map itself; all initial panels go in one call
@@ -247,7 +228,7 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
         below, above = ((u - math.atan((x - reach) / s), math.atan((x + reach) / s) - u)
                         if reach < math.inf else (math.inf, math.inf))
         seeds.append((u, w * math.cos(u) ** 2 / s, below, above))
-    breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(u_edges[:-1], u_edges[1:])]
     counts = [len(br) - 1 for br in breaks]
     owner = np.repeat(np.arange(pieces), counts)
     lo_p = np.concatenate([br[:-1] for br in breaks])
@@ -300,7 +281,7 @@ def integrate_log(f, region: Interval, cuts: Sequence[float],
     if converged:
         return results
     log_errs = errs.tolist()
-    names = list(zip(x_edges[:-1], x_edges[1:]))
+    names = list(zip(edges[:-1], edges[1:]))
     for j in np.flatnonzero(unconverged.any(axis=1)):
         detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
                            f"{results[j][k]:.6g}, log error {log_errs[j][k]:.6g}"

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from .datamodel import DerivedStats
 from .engine import BfResult, CauchyPrior, SweepResult, get_bf, posterior_log_density
-from .quadrature import Interval
 
 __all__ = [
     "render_text",
@@ -23,6 +23,7 @@ _RULE = "*" * 30
 _LABEL_WIDTH = 30
 _SCI_LOG10_THRESHOLD = 4.0  # |log10 BF| at or beyond which scientific notation kicks in
 _SIGNIFICANT_DIGITS = 3  # of a Bayes factor in scientific notation
+_CURVE_POINTS = 512
 
 
 def _format_bf(log_bf: float) -> str:
@@ -171,19 +172,18 @@ def render_json(result) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_density_curves(stats: DerivedStats, prior: CauchyPrior, region: Interval,
-                        points: int = 512):
-    """Prior and posterior densities of delta on an even grid.
+def emit_density_curves(stats: DerivedStats, prior: CauchyPrior):
+    """Prior and posterior densities of delta on an even grid of 512 points
+    that spans +-6 prior scales around 0 and +-8 / sqrt(n_eff) around the
+    likelihood's peak.
 
     Returns (delta, prior_density, posterior_density) arrays; the posterior
     column is normalized over the whole line.
     """
-    if points < 2:
-        raise ValueError("need at least 2 curve points")
-    if not region.is_finite:
-        raise ValueError("curve emission needs a finite range")
-    # halved, so that linspace's upper - lower stays finite on any finite range
-    delta = 2.0 * np.linspace(region.lower / 2.0, region.upper / 2.0, points)
+    center = stats.t_obs / math.sqrt(stats.n_eff)
+    spread = 8.0 / math.sqrt(stats.n_eff)
+    half = min(6.0 * prior.scale, sys.float_info.max / 4.0)  # so that hi - lo is finite
+    delta = np.linspace(min(-half, center - spread), max(half, center + spread), _CURVE_POINTS)
     with np.errstate(over="ignore"):
         prior_density = np.exp(prior.logpdf(delta))
         posterior_density = np.exp(posterior_log_density(delta, stats, prior))

@@ -334,6 +334,8 @@ def _hill_start(p2, df):
     c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
     y = (d * p2) ** (2.0 / df)
+    if y == 0.0:  # underflow: the start, sqrt(df / y), lies past 1e161
+        return math.inf
     if y > 0.05 + a:
         r = math.sqrt(-2.0 * math.log(p2 / 2.0))
         x = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
@@ -368,6 +370,7 @@ def student_t_quantile(p, df):
 
     lo, hi = 0.0, math.inf  # S(lo) > r >= S(hi)
     x = _hill_start(2.0 * r, df)
+    x = x if x * x / df < math.inf else 1e150  # a start past the densities' range meets the refusal
     for _ in range(100):
         g = student_t_cdf(-x, df) - r
         if g == 0.0:

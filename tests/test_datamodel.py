@@ -166,6 +166,9 @@ class TestValidation:
         # df floor: 2+2-2 = 2 < 3
         with pytest.raises(ValidationError):
             SummaryCi(2, 2, 0.0, 0.0, ci_margin=0.2)
+        for mean_x, mean_y in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValidationError, match="means must be finite"):
+                SummaryCi(10, 10, mean_x, mean_y, ci_margin=0.2)
 
     def test_non_integral_sizes_rejected(self):
         # and sizes past the float range, which float() cannot take

@@ -34,7 +34,7 @@ from twogroupbf.engine import (
     super_bf,
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
-from twogroupbf.quadrature import Interval, integrate_log
+from twogroupbf.quadrature import integrate_log
 from twogroupbf.specfun import noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
@@ -44,7 +44,7 @@ STUDY_47 = SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95)
 def _peaks(stats, prior):
     """The likelihood's peak and the prior spike, as quadrature features."""
     sqrt_n = math.sqrt(stats.n_eff)
-    return [(stats.t_obs / sqrt_n, 1.0 / sqrt_n), (0.0, prior.scale)]
+    return [(stats.t_obs / sqrt_n, 1.0 / sqrt_n, math.inf), (0.0, prior.scale, math.inf)]
 
 
 class TestPosteriorDensity:
@@ -53,7 +53,7 @@ class TestPosteriorDensity:
         prior = CauchyPrior(scale=0.5)
         (total,), = integrate_log(
             lambda d: posterior_log_density(d, stats, prior),
-            Interval(-math.inf, math.inf), (), _peaks(stats, prior),
+            (-math.inf, math.inf), _peaks(stats, prior),
         )
         assert total == pytest.approx(0.0, abs=1e-8)
 
@@ -386,9 +386,9 @@ class TestNonInferiority:
         stats = derive_stats(data)
         prior = CauchyPrior()
         (above,), = integrate_log(lambda d: posterior_log_density(d, stats, prior),
-                                  Interval(0.0, math.inf), (), _peaks(stats, prior))
+                                  (0.0, math.inf), _peaks(stats, prior))
         (below,), = integrate_log(lambda d: posterior_log_density(d, stats, prior),
-                                  Interval(-math.inf, 0.0), (), _peaks(stats, prior))
+                                  (-math.inf, 0.0), _peaks(stats, prior))
         assert res.log_bf == pytest.approx(above - below, abs=1e-8)
 
     def test_small_instance_against_grid_oracle(self):
@@ -480,8 +480,8 @@ class TestEquivalence:
         def joint(d):
             return noncentral_t_logpdf(stats.t_obs, stats.df, d * sqrt_n) + prior.logpdf(d)
 
-        (inside,), = integrate_log(joint, Interval(-50.0, 50.0), (), _peaks(stats, prior))
-        (full,), = integrate_log(joint, Interval(-math.inf, math.inf), (), _peaks(stats, prior))
+        (inside,), = integrate_log(joint, (-50.0, 50.0), _peaks(stats, prior))
+        (full,), = integrate_log(joint, (-math.inf, math.inf), _peaks(stats, prior))
         assert inside == pytest.approx(full, abs=1e-3)
         # the posterior-to-prior ratio for the inside region approaches
         # 1/p_in, i.e. the interval has absorbed all posterior mass
@@ -745,12 +745,12 @@ class TestPriorSweep:
     def test_unconverged_scale_is_isolated(self, monkeypatch):
         # an integrable singularity in the last scale's row, under a capped
         # budget, leaves only that scale unconverged
-        def singular(f, region, cuts, features):
+        def singular(f, edges, features):
             def g(x):
                 out = f(x)
                 out[-1] -= 0.9 * np.log(np.abs(x - 0.3))
                 return out
-            return integrate_log(g, region, cuts, features)
+            return integrate_log(g, edges, features)
 
         spec = TestSpec.superiority()
         monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 20)
@@ -795,6 +795,17 @@ class TestSpecValidation:
             TestSpec(design="equivalence", interval=(0.5, -0.5))
         with pytest.raises(ValidationError):
             TestSpec(design="mystery")  # type: ignore[arg-type]
+        for fields, message in (
+                ({"design": "superiority", "direction": "up", "alternative": "two_sided"},
+                 "direction must be"),
+                ({"design": "superiority"}, "superiority needs alternative"),
+                ({"design": "non_inferiority", "ni_margin": 1.0, "interval": (-1.0, 1.0)},
+                 "only ni_margin applies"),
+                ({"design": "equivalence"}, "equivalence needs an interval"),
+                ({"design": "equivalence", "interval": (-1.0, 1.0), "ni_margin": 1.0},
+                 "only interval applies")):
+            with pytest.raises(ValidationError, match=message):
+                TestSpec(**fields)
 
     def test_non_finite_margins_are_rejected(self):
         # a NaN interval must not fold into the point null

@@ -6,25 +6,26 @@ import pytest
 from conftest import nct_logpdf_mpmath
 from twogroupbf import oracle
 from twogroupbf.datamodel import SummaryMoments, derive_stats
-from twogroupbf.engine import CauchyPrior, TestSpec, super_bf
+from twogroupbf.engine import CauchyPrior, TestSpec, equiv_bf, super_bf
 from twogroupbf.oracle import GridSpec, default_span, grid_bf, nct_logpdf_mixture
-from twogroupbf.quadrature import Interval
 
 
 def test_default_span_covers_prior_mass():
     prior = CauchyPrior()
     span = default_span(prior)
-    outside = 2.0 * (0.5 - math.atan(span.upper / prior.scale) / math.pi)
+    outside = 2.0 * (0.5 - math.atan(span[1] / prior.scale) / math.pi)
     assert outside <= 1e-10
 
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(span=Interval(-10.0, 10.0), nodes=99_999)
+        GridSpec(span=(-10.0, 10.0), nodes=99_999)
     with pytest.raises(ValueError):
-        GridSpec(span=Interval(-10.0, 10.0), nodes=100_000)  # even
-    with pytest.raises(ValueError):
-        GridSpec(span=Interval(-math.inf, 10.0), nodes=100_001)
+        GridSpec(span=(-10.0, 10.0), nodes=100_000)  # even
+    for span in ((-math.inf, 10.0), (-10.0, math.inf), (10.0, -10.0), (1.0, 1.0),
+                 (math.nan, 10.0)):
+        with pytest.raises(ValueError, match="grid span"):
+            GridSpec(span=span, nodes=100_001)
 
 
 def test_reference_superiority_value():
@@ -75,3 +76,14 @@ def test_megatrial_two_sided_matches_the_engine():
     bf = grid_bf(derive_stats(data), prior, spec,
                  GridSpec(span=default_span(prior), nodes=100_001))
     assert super_bf(data, spec).log_bf == pytest.approx(math.log(bf), abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0 / math.sqrt(2.0), 2.0])
+def test_point_equivalence_matches_the_engine(scale):
+    """The Savage-Dickey window of grid_bf against the engine's point null."""
+    data = SummaryMoments(12, 15, 0.0, 0.4, 1.0, 1.1)
+    spec = TestSpec.equivalence(0.0)
+    prior = CauchyPrior(scale=scale)
+    bf = grid_bf(derive_stats(data), prior, spec,
+                 GridSpec(span=default_span(prior), nodes=100_001))
+    assert equiv_bf(data, spec, scale).log_bf == pytest.approx(math.log(bf), abs=1e-6)

@@ -16,7 +16,6 @@ from twogroupbf.engine import (
     savage_dickey_bf,
     super_bf,
 )
-from twogroupbf.quadrature import Interval
 from twogroupbf.report import (
     emit_density_curves,
     render_json,
@@ -182,44 +181,59 @@ class TestSweepText:
         assert "Cauchy prior scale:           1.00e-05\n" in block
 
 class TestDensityCurves:
+    def test_grid_spans_the_prior_and_the_likelihood(self):
+        # 512 points over +-6 prior scales around 0 and +-8 / sqrt(n_eff)
+        # around the likelihood's peak: the prior sets both ends, the peak
+        # one, the peak both
+        for data, scale in ((SummaryMoments(10, 10, 0.0, 0.2, 1.0, 1.0), 1.0),
+                            (SummaryMoments(5000, 5000, 0.0, 3.0, 1.0, 1.0), 0.1),
+                            (SummaryMoments(5, 5, 0.0, 0.2, 1.0, 1.0), 0.1)):
+            stats = derive_stats(data)
+            delta, _, _ = emit_density_curves(stats, CauchyPrior(scale=scale))
+            peak, spread = stats.t_obs / math.sqrt(stats.n_eff), 8.0 / math.sqrt(stats.n_eff)
+            assert len(delta) == 512
+            assert delta[0] == min(-6.0 * scale, peak - spread)
+            assert delta[-1] == max(6.0 * scale, peak + spread)
+            assert np.all(np.diff(delta) > 0.0)
+
     def test_prior_column_at_zero(self):
+        # the Cauchy density at every grid point: 1 / pi at 0 for scale 1
         stats = derive_stats(SummaryMoments(10, 10, 0.0, 0.2, 1.0, 1.0))
-        prior = CauchyPrior(scale=1.0)
-        delta, prior_density, _ = emit_density_curves(stats, prior, Interval(-4, 4), 129)
-        mid = np.argmin(np.abs(delta))
-        assert delta[mid] == 0.0
-        assert prior_density[mid] == pytest.approx(1.0 / math.pi, rel=1e-12)
+        delta, prior_density, _ = emit_density_curves(stats, CauchyPrior(scale=1.0))
+        np.testing.assert_allclose(prior_density, 1.0 / (math.pi * (1.0 + delta * delta)),
+                                   rtol=1e-12)
 
     def test_posterior_column_normalizes(self):
         stats = derive_stats(SummaryMoments(30, 25, 0.0, 0.4, 1.0, 1.2))
-        prior = CauchyPrior()
-        delta, _, post = emit_density_curves(stats, prior, Interval(-6, 6), 2001)
+        delta, _, post = emit_density_curves(stats, CauchyPrior())
         assert np.trapezoid(post, delta) == pytest.approx(1.0, abs=1e-3)
 
     def test_ratio_at_zero_matches_savage_dickey(self):
+        # at the grid point nearest 0, posterior over prior is the
+        # Savage-Dickey ratio there
         stats = derive_stats(SummaryMoments(20, 20, 0.0, 0.3, 1.0, 1.0))
         prior = CauchyPrior()
-        delta, prior_density, post = emit_density_curves(stats, prior, Interval(-2, 2), 2001)
+        delta, prior_density, post = emit_density_curves(stats, prior)
         mid = np.argmin(np.abs(delta))
+        assert abs(delta[mid]) < 0.02
         ratio = post[mid] / prior_density[mid]
-        assert ratio == pytest.approx(savage_dickey_bf(stats, prior, 0.0), rel=1e-4)
+        assert ratio == pytest.approx(savage_dickey_bf(stats, prior, float(delta[mid])), rel=1e-10)
 
     def test_columns_nonnegative(self):
         stats = derive_stats(SummaryMoments(10, 10, 0.0, 0.2, 1.0, 1.0))
-        prior = CauchyPrior()
-        _, prior_density, post = emit_density_curves(stats, prior, Interval(-1, 3), 257)
+        _, prior_density, post = emit_density_curves(stats, CauchyPrior())
         assert np.all(prior_density >= 0.0)
         assert np.all(post >= 0.0)
 
     def test_csv_format(self, tmp_path):
         stats = derive_stats(SummaryMoments(10, 10, 0.0, 0.2, 1.0, 1.0))
-        curves = emit_density_curves(stats, CauchyPrior(), Interval(-1, 1), 16)
+        curves = emit_density_curves(stats, CauchyPrior())
         out = tmp_path / "curves.csv"
         with out.open("w") as fh:
             write_curves_csv(fh, *curves)
         lines = out.read_text().splitlines()
         assert lines[0] == "delta,prior,posterior"
-        assert len(lines) == 17
+        assert len(lines) == 513
         d, p, q = lines[1].split(",")
-        assert float(d) == -1.0
+        assert float(d) == curves[0][0]
         assert float(p) > 0.0 and float(q) >= 0.0

@@ -556,6 +556,18 @@ class TestStudentTQuantile:
         with pytest.raises(DomainError, match="beyond 1e\\+150"):
             student_t_quantile(1.0 - 1e-10, 0.03)
 
+    def test_far_tails_end_in_a_quantile_or_its_own_refusal(self):
+        # Hill's start underflows here (df 1.05-1.85 at p 1e-300) or lands past
+        # the densities' |t| limit (df <= 1); neither may end in their errors
+        for p in (1e-160, 1e-200, 1e-300):
+            for df in (0.05 * k for k in range(2, 61)):
+                try:
+                    q = student_t_quantile(p, df)
+                except DomainError as exc:
+                    assert "cannot resolve quantiles beyond 1e+150" in str(exc), (p, df)
+                else:
+                    assert abs(student_t_cdf(q, df) / p - 1.0) <= 1e-10, (p, df)
+
     def test_unconverged_steps_are_refused_by_name(self):
         # the quantile (~1.6e146, mpmath) lies below 1e150, but the heavy-tail
         # steps grow x only ~11-fold each and end 100 steps short of it
