@@ -165,12 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--design", choices=("super", "infer", "equiv"), required=True)
     p_sweep.add_argument("--scales", type=float, nargs="+", required=True,
                          metavar="SCALE", help="prior scales to sweep")
-    p_sweep.add_argument("--alternative", choices=("one_sided", "two_sided"),
-                         default="two_sided")
+    p_sweep.add_argument("--alternative", choices=("one_sided", "two_sided"))
     p_sweep.add_argument("--ni-margin", type=float)
-    p_sweep.add_argument("--ni-margin-std", action="store_true")
+    p_sweep.add_argument("--ni-margin-std", action="store_true", default=None)
     p_sweep.add_argument("--interval", type=float, nargs="+")
-    p_sweep.add_argument("--interval-std", action="store_true")
+    p_sweep.add_argument("--interval-std", action="store_true", default=None)
 
     for p in (p_super, p_infer, p_equiv, p_sweep):
         _add_input_flags(p)
@@ -218,23 +217,31 @@ def _study_input(args):
     raise ValidationError("no variability information: add --sd-x/--sd-y or --ci-margin")
 
 
+# each design's own flags; ``sweep`` takes them all, each None unless given
+_DESIGN_FLAGS = {"super": ("alternative",), "infer": ("ni_margin", "ni_margin_std"),
+                 "equiv": ("interval", "interval_std")}
+
+
 def _test_spec(args) -> TestSpec:
     design = args.design if args.subcommand == "sweep" else args.subcommand
+    for flag in (f for d, flags in _DESIGN_FLAGS.items() if d != design for f in flags):
+        if getattr(args, flag, None) is not None:  # another design's flag would be ignored
+            raise ValidationError(f"--{flag.replace('_', '-')} does not apply to --design {design}")
     if design == "super":
         return TestSpec.superiority(direction=args.direction,
-                                    alternative=args.alternative)
+                                    alternative=args.alternative or "two_sided")
     if design == "infer":
         if args.ni_margin is None:
             raise ValidationError("--ni-margin is required for a non-inferiority sweep")
         return TestSpec.non_inferiority(args.ni_margin,
-                                        standardized=args.ni_margin_std,
+                                        standardized=bool(args.ni_margin_std),
                                         direction=args.direction)
     interval = args.interval or [0.0]
     if len(interval) > 2:
         raise ValidationError("--interval takes one or two values")
     # TestSpec.equivalence reads a single value v as (-v, v)
     return TestSpec.equivalence(interval[0] if len(interval) == 1 else tuple(interval),
-                                standardized=args.interval_std, direction=args.direction)
+                                standardized=bool(args.interval_std), direction=args.direction)
 
 
 def parse_and_run(argv) -> int:

@@ -233,8 +233,9 @@ def _log_joint(stats: DerivedStats, t: float, scales: Sequence[float]):
     def joint(delta):
         with np.errstate(over="ignore"):  # ncp past the float range is +-inf
             ncp = delta * sqrt_n
-        return (specfun.noncentral_t_logpdf(t, stats.df, ncp)
-                + specfun.cauchy_logpdf(delta, column))
+        out = specfun.cauchy_logpdf(delta, column)  # a fresh (scales, delta) array
+        out += specfun.noncentral_t_logpdf(t, stats.df, ncp)
+        return out
 
     # the likelihood's sd in ncp units is about sqrt(1 + t^2 / (2 df)); its
     # peak lies within that of t
@@ -303,7 +304,7 @@ def _log_prior_masses(edges: Tuple[float, ...], pieces: tuple, prior: CauchyPrio
     masses = [prior.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
     log_prior = []
     for name, ks in zip(("H1", "H0"), pieces):
-        mass = 1.0 if ks is None else sum(masses[k] for k in ks)
+        mass = 1.0 if ks is None else sum([masses[k] for k in ks])
         if not mass >= _MIN_REGION_PRIOR_MASS:
             raise ValidationError(f"{name} carries essentially no prior mass ({mass:.3g})")
         log_prior.append(math.log(mass))
@@ -325,7 +326,7 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
     outcomes = []
     for scale in scales:
         try:
-            outcomes.append(_log_prior_masses(edges, (h1, h0), CauchyPrior(scale=scale)))
+            outcomes.append(_log_prior_masses(edges, (h1, h0), CauchyPrior(scale)))
         except ValidationError as exc:
             outcomes.append(exc)
     live = [i for i, o in enumerate(outcomes) if isinstance(o, list)]
@@ -336,28 +337,26 @@ def _evaluate(data: StudyInput, stats: DerivedStats, spec: TestSpec,
             rows = integrate_log(joint, edges, features)
         except QuadratureError as exc:  # the integrand or the edges fail every scale
             rows = [exc] * len(live)
-        input_mode = next(m for cls, m in _INPUT_MODES if isinstance(data, cls))
+        shared = dict(orientation=orientation, design=spec.design, direction=spec.direction,
+                      input_mode=next(m for cls, m in _INPUT_MODES if isinstance(data, cls)),
+                      **fields)
         # the point null's likelihood, the same at every scale
         log_point = float(specfun.central_t_logpdf(t_c, stats.df)) if h0 is None else math.nan
         for i, log_m in zip(live, rows):
-            where = f"{spec.design} at prior scale {scales[i]:.6g}"
-            if isinstance(log_m, QuadratureError):
-                outcomes[i] = QuadratureError(f"{where}: {log_m}", log_m.best_log_estimate,
-                                              log_m.log_error_bound)
-                continue
-            log_avg = [(log_point if ks is None
-                        else float(np.logaddexp.reduce([log_m[k] for k in ks]))) - log_p
-                       for ks, log_p in zip((h1, h0), outcomes[i])]
-            log_bf10 = log_avg[0] - log_avg[1]
-            if not math.isfinite(log_bf10):
-                outcomes[i] = QuadratureError(
-                    f"{where}: the log Bayes factor is not finite (log average likelihood "
+            if not isinstance(log_m, QuadratureError):
+                log_avg = [(log_point if ks is None else log_m[ks[0]] if len(ks) == 1
+                            else float(np.logaddexp.reduce([log_m[k] for k in ks]))) - log_p
+                           for ks, log_p in zip((h1, h0), outcomes[i])]
+                log_bf10 = log_avg[0] - log_avg[1]
+                if math.isfinite(log_bf10):
+                    outcomes[i] = BfResult(log_bf=log_bf10 if orientation == "bf10" else -log_bf10,
+                                           prior_scale=scales[i], **shared)
+                    continue
+                log_m = QuadratureError(
+                    f"the log Bayes factor is not finite (log average likelihood "
                     f"{log_avg[0]!r} under H1, {log_avg[1]!r} under H0)", log_bf10, math.inf)
-                continue
-            outcomes[i] = BfResult(
-                log_bf=log_bf10 if orientation == "bf10" else -log_bf10,
-                orientation=orientation, design=spec.design, direction=spec.direction,
-                prior_scale=scales[i], input_mode=input_mode, **fields)
+            outcomes[i] = QuadratureError(f"{spec.design} at prior scale {scales[i]:.6g}: {log_m}",
+                                          log_m.best_log_estimate, log_m.log_error_bound)
     return outcomes
 
 

@@ -22,7 +22,6 @@ rows share every panel, and each row converges on its own.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -68,10 +67,10 @@ _GK15 = (
     (0.000000000000000, 0.209482141084728, 0.417959183673469),
 )
 
-_NODES = np.array([row[0] for row in _GK15])
-_LOG_WK = np.log(np.array([row[1] for row in _GK15]))
+_NODES = np.array([row[0] for row in _GK15])[:, None]  # a column: node by node
+_LOG_WK = np.log(np.array([row[1] for row in _GK15]))[:, None]
 _GAUSS_NODES = np.flatnonzero([row[2] > 0.0 for row in _GK15])
-_LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))
+_LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))[:, None]
 
 # narrowest panel with 15 distinct nodes, relative to its place in u; at
 # |u| <= pi/4, where the named points sit, that is < 1e-13 of their x
@@ -84,22 +83,26 @@ def _panels(g, f, lo, hi):
     (lo[i], hi[i]), one row per integrand, from one call of g over all their
     nodes."""
     half = (hi - lo) / 2.0
-    x = (_NODES + 1.0) * half[:, None] + lo[:, None]
-    fx = np.asarray(g(x.ravel(), f), dtype=float).reshape(-1, *x.shape)
+    x = (_NODES + 1.0) * half + lo  # node by node, so that each op runs along the panels
+    fx = g(x.ravel(), f).reshape(-1, *x.shape)  # g's own array: the sums go in place
     if not (fx < math.inf).all():  # NaN or +inf somewhere
-        bad = np.isnan(fx) | (fx == math.inf)
-        i = int(np.argmax(bad.any(axis=(0, 2))))
+        i = int(np.argmax((np.isnan(fx) | (fx == math.inf)).any(axis=(0, 1))))
         raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
                               _NEG_INF, math.inf)
     # both rules are summed relative to the panel's own maximum, so their
     # difference keeps its relative accuracy at any log magnitude
-    top = fx.max(axis=2)
+    top = fx.max(axis=1)
     m = np.where(np.isfinite(top), top, 0.0)
+    gauss = fx.take(_GAUSS_NODES, axis=1)
+    for v, log_w in ((gauss, _LOG_WG), (fx, _LOG_WK)):
+        v += log_w
+        np.exp(np.subtract(v, m[:, None], out=v), out=v)
+    # numpy sums 15 nodes pairwise only side by side, as a panel's row; 7 in order either way
+    sum_k = np.ascontiguousarray(fx.transpose(0, 2, 1)).sum(axis=2)
     with np.errstate(divide="ignore"):
-        sum_k = np.exp(fx + _LOG_WK - m[..., None]).sum(axis=2)
-        sum_g = np.exp(fx.take(_GAUSS_NODES, axis=2) + _LOG_WG - m[..., None]).sum(axis=2)
         log_scale = m + np.log(half)
-        return np.log(sum_k) + log_scale, np.log(np.abs(sum_k - sum_g)) + log_scale, top
+        return (np.log(sum_k) + log_scale,
+                np.log(np.abs(sum_k - gauss.sum(axis=1))) + log_scale, top)
 
 
 def _initial_breakpoints(seeds, lo: float, hi: float) -> list:
@@ -131,25 +134,23 @@ def _initial_breakpoints(seeds, lo: float, hi: float) -> list:
 
 
 def _piece_logsumexp(owner, pieces: int, *arrays):
-    """ln sum exp of each row of each array over each piece's panels, as
-    arrays of shape (rows, pieces).
-
-    Each array is reduced on its own: numpy sums the rows of a taller
-    array in another order, and one row must match a 1-D sum bit for bit.
-    """
-    out = [np.empty((v.shape[0], pieces)) for v in arrays]
+    """ln sum exp of each row of each array over each piece's panels, which
+    lie side by side in ``owner``'s order, as arrays of shape (rows, pieces).
+    Sums run pairwise (C order) where a row or a piece stands alone, as a
+    1-D sum does, and left to right (F order) over several rows of each of
+    several pieces: the orders the reported values were always summed in."""
+    rows = len(arrays[0])
+    ends = np.searchsorted(owner, np.arange(pieces + 1)).tolist()  # owner is sorted
+    values = np.concatenate(arrays)  # all arrays as one block of rows
+    top = np.maximum.reduceat(values, ends[:-1], axis=1)
     with np.errstate(invalid="ignore"):
-        for k in range(pieces):
-            member = owner == k if pieces > 1 else slice(None)
-            for values, into in zip(arrays, out):
-                v = values[:, member]
-                top = np.maximum.reduce(v, axis=1)
-                sums = np.add.reduce(np.exp(v - top[:, None]), axis=1)
-                # libm's log: numpy's differs in the last bit, which would
-                # move the reported values
-                into[:, k] = [t + math.log(s) if math.isfinite(t) else t
-                              for t, s in zip(top.tolist(), sums.tolist())]
-    return out
+        e = np.subtract(values, top[:, owner], order="F" if pieces > 1 and rows > 1 else "C")
+        np.exp(e, out=e)
+    sums = [np.add.reduce(e[:, a:b], axis=1).tolist() for a, b in zip(ends[:-1], ends[1:])]
+    # libm's log: numpy's differs in the last bit, which would move the reported values
+    logs = np.array([[t + math.log(s) if math.isfinite(t) else t for t, s in zip(tops, piece)]
+                     for tops, piece in zip(top.T.tolist(), sums)]).T
+    return [logs[i:i + rows] for i in range(0, len(logs), rows)]
 
 
 def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
@@ -212,7 +213,8 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
         t = np.tan(u)
         with np.errstate(over="ignore"):  # x past the float range is +-inf
             x = s * t
-        return f(x) + np.log1p(t * t) + log_s  # ln dx/du
+        out = f(x) + np.log1p(t * t)  # ln dx/du, in an array of its own
+        return np.add(out, log_s, out=out)
 
     u_edges = [math.atan(x / s) for x in edges]  # +-pi/2 at infinite ends
     if any(a >= b for a, b in zip(u_edges[:-1], u_edges[1:])):
@@ -229,23 +231,20 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
                         if reach < math.inf else (math.inf, math.inf))
         seeds.append((u, w * math.cos(u) ** 2 / s, below, above))
     breaks = [_initial_breakpoints(seeds, a, b) for a, b in zip(u_edges[:-1], u_edges[1:])]
-    counts = [len(br) - 1 for br in breaks]
-    owner = np.repeat(np.arange(pieces), counts)
-    lo_p = np.concatenate([br[:-1] for br in breaks])
-    hi_p = np.concatenate([br[1:] for br in breaks])
+    lo_p = np.array([x for br in breaks for x in br[:-1]])  # each piece's panels side by side
+    hi_p = np.array([x for br in breaks for x in br[1:]])
+    owner = np.array([k for k, br in enumerate(breaks) for _ in br[1:]])
     log_k, err, top = _panels(g, f, lo_p, hi_p)
 
     # each (row, piece) pair's log shift, which makes the linear-scale
     # floor meaningful: the maximum over its initial panels' nodes
-    shifts = np.maximum.reduceat(top, [0, *itertools.accumulate(counts[:-1])], axis=1)
+    shifts = np.maximum.reduceat(top, np.searchsorted(owner, np.arange(pieces)), axis=1)
 
-    log_abs_floor = math.log(_ABS_TOL_LOG)
-    log_rel = math.log(_REL_TOL)
     budget = _MAX_SUBDIVISIONS
 
     while True:
         totals, errs = _piece_logsumexp(owner, pieces, log_k, err)
-        target = np.maximum(totals + log_rel, shifts + log_abs_floor)
+        target = np.maximum(totals + math.log(_REL_TOL), shifts + math.log(_ABS_TOL_LOG))
         unconverged = errs > target
         converged = not unconverged.any()
         if converged or not budget:
@@ -272,18 +271,18 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
         budget -= n
         new_k, new_err, _ = _panels(g, f, np.concatenate([a, mid]), np.concatenate([mid, b]))
         hi_p[pick], log_k[:, pick], err[:, pick] = mid, new_k[:, :n], new_err[:, :n]
-        lo_p, hi_p = np.concatenate((lo_p, mid)), np.concatenate((hi_p, b))
         owner = np.concatenate((owner, owner[pick]))
-        log_k = np.concatenate((log_k, new_k[:, n:]), axis=1)
-        err = np.concatenate((err, new_err[:, n:]), axis=1)
+        order = np.argsort(owner, kind="stable")  # each piece's panels side by side again
+        owner, lo_p, hi_p = owner[order], np.append(lo_p, mid)[order], np.append(hi_p, b)[order]
+        log_k = np.concatenate((log_k, new_k[:, n:]), axis=1)[:, order]
+        err = np.concatenate((err, new_err[:, n:]), axis=1)[:, order]
 
     results = totals.tolist()
     if converged:
         return results
     log_errs = errs.tolist()
-    names = list(zip(edges[:-1], edges[1:]))
     for j in np.flatnonzero(unconverged.any(axis=1)):
-        detail = "; ".join(f"piece ({names[k][0]:.6g}, {names[k][1]:.6g}) log estimate "
+        detail = "; ".join(f"piece ({edges[k]:.6g}, {edges[k + 1]:.6g}) log estimate "
                            f"{results[j][k]:.6g}, log error {log_errs[j][k]:.6g}"
                            for k in np.flatnonzero(unconverged[j]))
         total = float(np.logaddexp.reduce(results[j]))

@@ -155,6 +155,8 @@ def cauchy_logpdf(x, scale):
 # Gaussian estimate where sigma > ~0.05; the node count is the worst case over
 # modes, so those modes get finer steps, and the tests check the kernel
 # against itself at half the spacing and a wider window.
+# The points go through in chunks of _EVAL_CHUNK rows, evaluated in place in
+# two work arrays per chunk, (rows x nodes) each, in the formula's order.
 
 _EPS = 1e-12  # target relative error in I(a)
 _TAIL = math.log(10.0 / _EPS)  # nats below the peak at both window ends
@@ -179,9 +181,11 @@ def _window(c, x2):
     k <= 1/e, so the left end is continuous across that switch.
     """
     k = _RIGHT / np.sqrt(c + x2)
+    left = -k / np.maximum(1.0 - (math.e - 1.0) * k, k)
+    if c > math.e * _TAIL:  # r - c/e < 0 at every mode: w = 0
+        return left, k
     r = _TAIL - _Q * _Q * x2 / 2.0
-    w = np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c
-    return -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w, k
+    return left - np.maximum(np.minimum(r, (r - c / math.e) / _Q), 0.0) / c, k
 
 
 def _node_count(c):
@@ -205,7 +209,7 @@ def _node_count(c):
     return math.ceil(steps) + 1
 
 
-_EVAL_CHUNK = 2048  # trapezoid rows per pass: bounds the (rows x nodes) work arrays
+_EVAL_CHUNK = 2048  # trapezoid rows per pass: bounds the two (rows x nodes) work arrays
 
 
 def _log_hh(df, a):
@@ -223,11 +227,15 @@ def _log_hh(df, a):
     sums = np.empty(a.size)
     for i in range(0, a.size, _EVAL_CHUNK):
         rows = slice(i, i + _EVAL_CHUNK)
-        s = left[rows, None] + step[rows, None] * nodes
+        s = step[rows, None] * nodes
+        s += left[rows, None]
         e = np.expm1(s)
-        h = -c * (e - s) - x2[rows, None] * (e * e) / 2.0
+        # h = -c (e - s) - x2 e^2 / 2, in place in s and e and in the same order
+        np.multiply(np.subtract(s, e, out=s), c, out=s)  # c (s - e) = -c (e - s)
+        np.multiply(np.multiply(e, e, out=e), x2[rows, None], out=e)
+        s -= np.multiply(e, 0.5, out=e)  # * 0.5: the same bits as / 2
         # both ends are far below the peak, so every node weighs the same
-        sums[rows] = np.exp(h).sum(axis=1)
+        sums[rows] = np.exp(s, out=s).sum(axis=1)
     return (c * np.arcsinh(a / (2.0 * math.sqrt(c))) + c * a / (2.0 * x_star)
             + np.log(sums * step))
 

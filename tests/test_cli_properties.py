@@ -230,6 +230,43 @@ def test_a_stray_flag_from_another_input_form_is_refused(case, data):
     assert rc == 2, (case, flag, value)
 
 
+STUDY = ["--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
+         "--sd-x", "1", "--sd-y", "1", "--scales", "0.5", "1"]
+
+
+def _stdout_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.parse_and_run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--design", "infer", "--ni-margin", "0.1", "--interval", "0.3"], "--interval"),
+    (["--design", "super", "--ni-margin", "0.3", "--interval-std"], "--ni-margin"),
+    (["--design", "equiv", "--interval", "0.2", "--alternative", "one_sided"],
+     "--alternative"),
+    (["--design", "super", "--ni-margin", "0"], "--ni-margin"),
+    (["--design", "equiv", "--ni-margin-std"], "--ni-margin-std"),
+])
+def test_a_sweep_refuses_a_flag_of_another_design(argv, flag):
+    """sweep takes every design's flags; one its design does not read is an
+    error naming the flag and the design, never silently ignored."""
+    rc, out, err = _stdout_stderr(["sweep", *argv, *STUDY])
+    design = argv[1]
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} does not apply to --design {design}\n"
+
+
+def test_a_superiority_sweep_is_two_sided_by_default():
+    default = _stdout_stderr(["sweep", "--design", "super", *STUDY])
+    assert default[0] == 0
+    assert default == _stdout_stderr(["sweep", "--design", "super",
+                                      "--alternative", "two_sided", *STUDY])
+    assert default != _stdout_stderr(["sweep", "--design", "super",
+                                      "--alternative", "one_sided", *STUDY])
+
+
 def _large_t(n_x, n_y, t, scale):
     """ln BF10 of two-sided and one-sided superiority at t, from moments
     through the CLI, and (df - 1) ln t at the t the CLI derives; None where

@@ -47,6 +47,26 @@ def _peaks(stats, prior):
     return [(stats.t_obs / sqrt_n, 1.0 / sqrt_n, math.inf), (0.0, prior.scale, math.inf)]
 
 
+def test_the_joint_leaves_the_density_s_array_as_it_was(monkeypatch):
+    """The engine adds the likelihood into the prior's fresh array: an
+    array the density returns, here a view of one it keeps, is not written."""
+    store = np.zeros(1000)
+    returned = []
+
+    def density(t, df, ncp):
+        out = store[:ncp.size]
+        out[...] = noncentral_t_logpdf(t, df, ncp)
+        returned.append(out.copy())
+        return out
+
+    monkeypatch.setattr(specfun, "noncentral_t_logpdf", density)
+    stats = derive_stats(STUDY_51)
+    joint, _ = engine_module._log_joint(stats, stats.t_obs, [0.5, 1.0, 2.0])
+    values = joint(np.linspace(-1.0, 1.0, 50))
+    assert values.shape == (3, 50)
+    assert np.array_equal(store[:50], returned[0])
+
+
 class TestPosteriorDensity:
     def test_normalizes_over_full_line(self):
         stats = derive_stats(STUDY_51)

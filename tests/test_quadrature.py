@@ -350,3 +350,29 @@ def test_interval_validation():
     for edges in ((1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (0.0, math.nan), (0.0,), ()):
         with pytest.raises(ValueError, match="edges must be at least two"):
             integrate_log(f, edges, [])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_the_array_an_integrand_returns_is_left_as_it_was(rows):
+    """integrate_log writes only into arrays of its own: every array the
+    integrand returned, here a view of one the integrand keeps, reads the
+    same after the call as when it was returned, over refinement rounds and
+    pieces."""
+    store = np.zeros((rows, 200_000))
+    widths = np.arange(1.0, rows + 1.0)[:, None]
+    returned = []
+
+    def f(x):
+        at = sum(len(r) for r, _ in returned)
+        out = store[:, at:at + x.size]
+        out[...] = -0.5 * (x / widths) ** 2
+        returned.append((range(at, at + x.size), out.copy()))
+        return out if rows > 1 else out[0]
+
+    results = integrate_log(f, (-math.inf, -0.5, 1.0, math.inf), [])
+    assert len(returned) > 1
+    for span, values in returned:
+        assert np.array_equal(store[:, span.start:span.stop], values)
+    for row, w in zip(results, widths.ravel()):
+        assert np.logaddexp.reduce(row) == pytest.approx(math.log(w * math.sqrt(2.0 * math.pi)),
+                                                         abs=1e-10)

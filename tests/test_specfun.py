@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -344,6 +345,36 @@ class TestNoncentralT:
         alone = [noncentral_t_logpdf(t, df, v) for v in ncp]
         assert together.tolist() == alone
 
+    @pytest.mark.parametrize("df", [0.5, 2.0, 38.0, 224.0, 2e4, 1e9])
+    def test_in_place_kernel_equals_the_formula_out_of_place(self, df):
+        """The kernel runs in place, node by node, in the formula's order of
+        operations, so it equals the formula written out of place bit for
+        bit, over more points than one chunk; so does the density."""
+        a = np.concatenate([[0.0, 1e-3, -1e-3, 1.0, -1.0, 1e3, -1e3, 1e12, -1e12],
+                            np.linspace(-40.0, 40.0, specfun._EVAL_CHUNK + 300)])
+        with np.errstate(all="ignore"):
+            got, want = specfun._log_hh(df, a), _log_hh_out_of_place(df, a)
+        np.testing.assert_array_equal(got, want)
+        t = 1.5
+        ncp = a * math.sqrt(t * t + df) / t
+        np.testing.assert_array_equal(noncentral_t_logpdf(t, df, ncp),
+                                      _noncentral_t_out_of_place(t, df, ncp))
+
+    @pytest.mark.parametrize("df", [2.0, 200.0, 1e6])
+    def test_density_peaks_below_three_work_arrays(self, df):
+        """The kernel holds two (points x nodes) work arrays at a time: its
+        temporaries cannot come back unnoticed."""
+        ncp = np.linspace(-3.0, 5.0, 2000)
+        work = 2001 * specfun._node_count(df + 1.0) * 8  # the a = 0 row rides along
+        noncentral_t_logpdf(1.5, df, ncp)
+        tracemalloc.start()
+        try:
+            noncentral_t_logpdf(1.5, df, ncp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * work, peak / work
+
     def test_extreme_ncp_never_nan(self):
         for df in (0.5, 3.0, 50.0, 2e4, 2e6):
             vals = noncentral_t_logpdf(1.3, df, np.array([-1e300, -1e150, 1e150, 1e300]))
@@ -428,6 +459,36 @@ def _kernel_modes(c):
         x_switch = math.sqrt(specfun._LEFT ** 2 - c)
         modes += [x_switch * (1.0 - 1e-6), x_switch * (1.0 + 1e-6)]
     return modes
+
+
+def _log_hh_out_of_place(df, a):
+    """specfun._log_hh as the formula, one out-of-place expression per step
+    over all points at once, with every point's window ends in full."""
+    c = df + 1.0
+    big = (np.abs(a) + np.hypot(a, 2.0 * math.sqrt(c))) / 2.0
+    x_star = np.where(a >= 0.0, big, c / big)
+    x2 = x_star * x_star
+    k = specfun._RIGHT / np.sqrt(c + x2)
+    r = specfun._TAIL - specfun._Q * specfun._Q * x2 / 2.0
+    w = np.maximum(np.minimum(r, (r - c / math.e) / specfun._Q), 0.0) / c
+    left = -k / np.maximum(1.0 - (math.e - 1.0) * k, k) - w
+    n = specfun._node_count(c)
+    step = (k - left) / (n - 1)
+    s = left[:, None] + step[:, None] * np.arange(n)
+    e = np.expm1(s)
+    h = -c * (e - s) - x2[:, None] * (e * e) / 2.0
+    return (c * np.arcsinh(a / (2.0 * math.sqrt(c))) + c * a / (2.0 * x_star)
+            + np.log(np.exp(h).sum(axis=1) * step))
+
+
+def _noncentral_t_out_of_place(t, df, ncp):
+    """noncentral_t_logpdf for a scalar t, on _log_hh_out_of_place."""
+    with np.errstate(all="ignore"):
+        big_a = t * t + df
+        gauss = ncp * ncp * df / (2.0 * big_a)
+        log_i = _log_hh_out_of_place(df, np.concatenate(([0.0], ncp * t / np.sqrt(big_a))))
+        out = central_t_logpdf(t, df) - gauss + (log_i[1:] - log_i[0])
+    return np.fmax(out, -math.inf)
 
 
 class _ExpSizes:
