@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -124,52 +124,64 @@ def render_sweep_text(sweep: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _result_record(result: BfResult) -> dict:
-    bf = get_bf(result)  # null in JSON beyond the float range; log_bf is exact
-    record = {
-        "schema_version": 1,
-        "design": result.design,
-        "direction": result.direction,
-        "orientation": result.orientation,
-        "log_bf": result.log_bf,
-        "bf": bf if math.isfinite(bf) else None,
-        "prior_scale": result.prior_scale,
-        "input_mode": result.input_mode,
-    }
+def _number(value) -> str:
+    """A JSON number as json.dumps writes it, or null where it is not finite."""
+    if isinstance(value, int):  # an int stays an int: a prior scale of 1 prints 1
+        return int.__repr__(value)
+    return float.__repr__(value) if value is not None and math.isfinite(value) else "null"
+
+
+def _block(items: list, indent: str, brackets: str = "{}") -> str:
+    """Items one per line at ``indent`` + 2, as json.dumps(indent=2) lays them out."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _record_fields(result: BfResult, indent: str) -> list:
+    """The ``"key": value`` lines of a result's record, for braces at ``indent``;
+    sorting them sorts the keys, since '"' sorts below every key character."""
+    inner, nested = indent + "  ", indent + "    "
+    fields = [
+        '"schema_version": 1',
+        f'"design": {_string(result.design)}',
+        f'"direction": {_string(result.direction)}',
+        f'"orientation": {_string(result.orientation)}',
+        f'"log_bf": {_number(result.log_bf)}',
+        f'"bf": {_number(get_bf(result))}',  # null beyond the float range; log_bf is exact
+        f'"prior_scale": {_number(result.prior_scale)}',
+        f'"input_mode": {_string(result.input_mode)}',
+    ]
     if result.alternative is not None:
-        record["alternative"] = result.alternative
+        fields.append(f'"alternative": {_string(result.alternative)}')
     if result.margin_std is not None:
-        record["ni_margin"] = {
-            "standardized": result.margin_std,
-            "unstandardized": result.margin_unstd,
-        }
+        fields.append('"ni_margin": ' + _block(
+            [f'"standardized": {_number(result.margin_std)}',
+             f'"unstandardized": {_number(result.margin_unstd)}'], inner))
     if result.interval_std is not None:
-        record["interval"] = {
-            "standardized": list(result.interval_std),
-            "unstandardized": list(result.interval_unstd),
-        }
-    return record
+        std, unstd = (_block([_number(v) for v in pair], nested, "[]")
+                      for pair in (result.interval_std, result.interval_unstd))
+        fields.append('"interval": ' + _block(
+            [f'"standardized": {std}', f'"unstandardized": {unstd}'], inner))
+    return fields
 
 
 def render_json(result) -> str:
-    """JSON record (schema v1) for a result or a sweep; floats at full precision."""
-    if isinstance(result, SweepResult):
-        payload = {
-            "schema_version": 1,
-            "sweep": [
-                {
-                    "scale": e.scale,
-                    **({"error": e.error} if e.error is not None
-                       else _result_record(e.result)),
-                }
-                for e in result.entries
-            ],
-            "min_log_bf": result.min_log_bf,
-            "max_log_bf": result.max_log_bf,
-        }
-    else:
-        payload = _result_record(result)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """JSON record (schema v1) for a result or a sweep; floats at full precision,
+    null for a number that is not finite.  Written field by field in the bytes
+    json.dumps(record, indent=2, sort_keys=True) gives a finite record, since
+    json.dumps takes its C encoder only without indent."""
+    if not isinstance(result, SweepResult):
+        return _block(sorted(_record_fields(result, "")), "") + "\n"
+    entries = [_block(sorted([f'"scale": {_number(e.scale)}',
+                              *([f'"error": {_string(e.error)}'] if e.error is not None
+                                else _record_fields(e.result, "    "))]), "    ")
+               for e in result.entries]
+    return _block([f'"max_log_bf": {_number(result.max_log_bf)}',
+                   f'"min_log_bf": {_number(result.min_log_bf)}',
+                   '"schema_version": 1',
+                   '"sweep": ' + _block(entries, "  ", "[]")], "") + "\n"
 
 
 def emit_density_curves(stats: DerivedStats, prior: CauchyPrior):

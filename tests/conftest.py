@@ -1,7 +1,16 @@
+import json
+
 import mpmath
 import numpy as np
 
 from twogroupbf.datamodel import RawGroups, SummaryMoments
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def random_moments(rng, n_lo=3, n_hi=50):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import twogroupbf
-from conftest import nct_logpdf_mpmath
+from conftest import nct_logpdf_mpmath, strict_json
 from twogroupbf.cli import parse_and_run, read_raw_csv
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, derive_stats
 from twogroupbf.engine import CauchyPrior, TestSpec, get_bf, infer_bf, super_bf
@@ -35,6 +35,10 @@ HUGE_N_TINY_SDS = ["super", "--n-x", "1000000", "--n-y", "1000000", "--mean-x", 
 # n 50/50, d = 0.3; every node past a standardized margin of 1e307 is past the float range
 FAR_MARGIN = ["--n-x", "50", "--n-y", "50", "--mean-x", "0", "--mean-y", "0.3",
               "--sd-x", "1", "--sd-y", "1", "--prior-scale", "1e307"]
+# sds of 1e308: a standardized margin or interval end of 3 or more is past
+# the float range in outcome units, while the Bayes factor stays finite
+HUGE_SDS = ["--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "1e307",
+            "--sd-x", "1e308", "--sd-y", "1e308"]
 
 
 class TestInferInvocation:
@@ -65,6 +69,16 @@ class TestInferInvocation:
         engine = infer_bf(SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95),
                           TestSpec.non_inferiority(1.0, direction="low"))
         assert payload["log_bf"] == engine.log_bf
+
+    def test_margin_past_the_float_range_is_null_in_json(self, capsys):
+        args = ["infer", "--ni-margin", "10", "--ni-margin-std", *HUGE_SDS]
+        assert parse_and_run([*args, "--format", "json"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["ni_margin"] == {"standardized": 10.0, "unstandardized": None}
+        assert payload["bf"] == math.exp(payload["log_bf"]) > 1.0
+        assert payload["prior_scale"] == 1.0 / math.sqrt(2.0)
+        assert parse_and_run(args) == 0
+        assert "inf (unstandardised)" in capsys.readouterr().out
 
 
 class TestRawCsv:
@@ -267,6 +281,15 @@ class TestEquivInvocation:
         assert parse_and_run(["super", *args, "--format", "json"]) == 0
         superiority = json.loads(capsys.readouterr().out)
         assert equiv["log_bf"] == -superiority["log_bf"]
+
+    def test_interval_past_the_float_range_is_null_in_json(self, capsys):
+        assert parse_and_run(["equiv", "--interval", "-3", "3", "--interval-std",
+                              *HUGE_SDS, "--format", "json"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["interval"] == {"standardized": [-3.0, 3.0],
+                                       "unstandardized": [None, None]}
+        assert payload["bf"] == math.exp(payload["log_bf"]) > 1.0
+        assert payload["orientation"] == "bf01"
 
 
 class TestSweepInvocation:

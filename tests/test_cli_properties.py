@@ -13,7 +13,6 @@ value must be finite.  A flag of another input form is refused.
 """
 
 import io
-import json
 import math
 import sys
 import tempfile
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from twogroupbf import cli
 from twogroupbf.datamodel import _max_abs_t, derive_stats
 
@@ -134,7 +134,7 @@ def _run(argv):
         assert len(lines) == 1 and lines[0].startswith(prefix), (err, argv)
         assert out == ""
         return rc, None
-    payload = json.loads(out)
+    payload = strict_json(out)  # a NaN or Infinity anywhere fails
     entries = payload["sweep"] if argv[0] == "sweep" else [payload]
     log_bfs = [e.get("log_bf") for e in entries]
     assert all(v is None or math.isfinite(v) for v in log_bfs), (log_bfs, argv)

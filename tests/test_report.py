@@ -4,13 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, derive_stats
 from twogroupbf.engine import (
     BfResult,
     CauchyPrior,
+    SweepEntry,
+    SweepResult,
     TestSpec,
     equiv_bf,
+    get_bf,
     infer_bf,
     prior_sweep,
     savage_dickey_bf,
@@ -29,6 +34,95 @@ STUDY_47 = SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95)
 
 def _reference_infer_result():
     return infer_bf(STUDY_47, TestSpec.non_inferiority(1.0, direction="low"))
+
+
+def _finite_or_none(value):
+    return value if value is None or isinstance(value, int) or math.isfinite(value) else None
+
+
+def _reference_record(result):
+    f = _finite_or_none
+    record = {
+        "schema_version": 1,
+        "design": result.design,
+        "direction": result.direction,
+        "orientation": result.orientation,
+        "log_bf": f(result.log_bf),
+        "bf": f(get_bf(result)),
+        "prior_scale": f(result.prior_scale),
+        "input_mode": result.input_mode,
+    }
+    if result.alternative is not None:
+        record["alternative"] = result.alternative
+    if result.margin_std is not None:
+        record["ni_margin"] = {
+            "standardized": f(result.margin_std),
+            "unstandardized": f(result.margin_unstd),
+        }
+    if result.interval_std is not None:
+        record["interval"] = {
+            "standardized": [f(v) for v in result.interval_std],
+            "unstandardized": [f(v) for v in result.interval_unstd],
+        }
+    return record
+
+
+def reference_payload(result):
+    """The record render_json once built for json.dumps(indent=2,
+    sort_keys=True), with every number that is not finite as None."""
+    if not isinstance(result, SweepResult):
+        return _reference_record(result)
+    return {
+        "schema_version": 1,
+        "sweep": [
+            {"scale": _finite_or_none(e.scale),
+             **({"error": e.error} if e.error is not None else _reference_record(e.result))}
+            for e in result.entries
+        ],
+        "min_log_bf": _finite_or_none(result.min_log_bf),
+        "max_log_bf": _finite_or_none(result.max_log_bf),
+    }
+
+
+def _reference_json(result):
+    return json.dumps(reference_payload(result), indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_NUMBERS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+NUMBERS = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.floats(),
+    st.integers(-10**20, 10**20),
+    st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats()).map(np.float64),
+)
+TEXT = st.one_of(st.text(), st.sampled_from(
+    ['say "no"', "back\\slash", "ctl \x00\x1f\n\t\x7f", "\u00e9t\u00e9", "line\u2028sep"]))
+
+
+@st.composite
+def bf_results(draw):
+    design = draw(st.sampled_from(["superiority", "non_inferiority", "equivalence"]))
+    pair = st.tuples(NUMBERS, NUMBERS)
+    return BfResult(
+        log_bf=draw(NUMBERS),
+        orientation=draw(st.sampled_from(["bf10", "bf01"])),
+        design=design,
+        direction=draw(st.sampled_from(["high", "low"])),
+        prior_scale=draw(NUMBERS),
+        input_mode=draw(st.sampled_from(["raw", "summary-moments", "summary-ci"])),
+        alternative=draw(st.sampled_from([None, "one_sided", "two_sided"])),
+        margin_std=draw(NUMBERS) if design == "non_inferiority" else None,
+        margin_unstd=draw(NUMBERS) if design == "non_inferiority" else None,
+        interval_std=draw(pair) if design == "equivalence" else None,
+        interval_unstd=draw(pair) if design == "equivalence" else None,
+    )
+
+
+ENTRIES = st.one_of(st.builds(SweepEntry, scale=NUMBERS, result=bf_results()),
+                    st.builds(SweepEntry, scale=NUMBERS, error=TEXT))
+MIN_MAX = st.one_of(st.none(), st.integers(-10**6, 10**6), NUMBERS)
+SWEEPS = st.builds(SweepResult, entries=st.lists(ENTRIES, max_size=4).map(tuple),
+                   min_log_bf=MIN_MAX, max_log_bf=MIN_MAX)
 
 
 class TestRenderText:
@@ -158,6 +252,24 @@ class TestRenderJson:
         payload = json.loads(render_json(sweep))
         assert "error" in payload["sweep"][1]
         assert "log_bf" in payload["sweep"][0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(bf_results(), SWEEPS))
+    def test_bytes_are_json_dumps_of_the_reference_payload(self, result):
+        assert render_json(result) == _reference_json(result)
+
+    def test_rendering_never_enters_the_json_package_encoder(self, monkeypatch):
+        data = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
+        scales = [0.1 * 100.0 ** (k / 9.0) for k in range(10)]
+        cases = [prior_sweep(data, TestSpec.equivalence((-0.2, 0.3)), scales),
+                 _reference_infer_result()]
+        expected = [_reference_json(r) for r in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the json package's Python encoder ran")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert [render_json(r) for r in cases] == expected
 
 
 class TestSweepText:
