@@ -12,6 +12,7 @@ import sys
 from .datamodel import RawGroups, SummaryCi, SummaryMoments, ValidationError, derive_stats
 from .engine import (
     DEFAULT_PRIOR_SCALE,
+    DESIGN_FIELDS,
     CauchyPrior,
     TestSpec,
     prior_sweep,
@@ -123,16 +124,34 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"confidence level of that CI (default {SummaryCi.ci_level})")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior-scale", type=float, default=DEFAULT_PRIOR_SCALE,
-                        help="Cauchy prior scale on the standardized effect "
-                             "(default 1/sqrt(2))")
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--direction", choices=("high", "low"), default="high",
                         help="which pole of the outcome is beneficial (default high)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    parser.add_argument("--curves", metavar="CSV",
-                        help="also write prior/posterior density curves here")
+
+
+# each single-test subcommand's design and help line
+_SUBCOMMANDS = {"super": ("superiority", "superiority test (BF10)"),
+                "infer": ("non_inferiority", "non-inferiority test (BF10)"),
+                "equiv": ("equivalence", "equivalence test (BF01)")}
+
+# each design flag, keyed by the TestSpec field it sets, with its single-test default
+_FIELD_FLAGS = {
+    "alternative": dict(choices=("one_sided", "two_sided"), default="two_sided",
+                        help="sidedness of H1 (default two_sided)"),
+    "ni_margin": dict(type=float, required=True, help="largest tolerated disadvantage"),
+    "ni_margin_std": dict(action="store_true", help="margin is already in standardized units"),
+    "interval": dict(type=float, nargs="+", default=[0.0], metavar="BOUND",
+                     help="one value v for (-v, v), two for an asymmetric "
+                          "interval; 0 is the point null (default)"),
+    "interval_std": dict(action="store_true", help="interval is already in standardized units"),
+}
+
+
+def _add_design_flags(parser: argparse.ArgumentParser, fields, **override) -> None:
+    for field in fields:
+        parser.add_argument("--" + field.replace("_", "-"), **{**_FIELD_FLAGS[field], **override})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,38 +161,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and equivalence designs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_super = sub.add_parser("super", help="superiority test (BF10)")
-    p_super.add_argument("--alternative", choices=("one_sided", "two_sided"),
-                         default="two_sided", help="sidedness of H1 (default two_sided)")
-
-    p_infer = sub.add_parser("infer", help="non-inferiority test (BF10)")
-    p_infer.add_argument("--ni-margin", type=float, required=True,
-                         help="largest tolerated disadvantage")
-    p_infer.add_argument("--ni-margin-std", action="store_true",
-                         help="margin is already in standardized units")
-
-    p_equiv = sub.add_parser("equiv", help="equivalence test (BF01)")
-    p_equiv.add_argument("--interval", type=float, nargs="+", default=[0.0],
-                         metavar="BOUND",
-                         help="one value v for (-v, v), two for an asymmetric "
-                              "interval; 0 is the point null (default)")
-    p_equiv.add_argument("--interval-std", action="store_true",
-                         help="interval is already in standardized units")
-
-    p_sweep = sub.add_parser("sweep", help="prior-scale robustness sweep")
-    p_sweep.add_argument("--design", choices=("super", "infer", "equiv"), required=True)
-    p_sweep.add_argument("--scales", type=float, nargs="+", required=True,
-                         metavar="SCALE", help="prior scales to sweep")
-    p_sweep.add_argument("--alternative", choices=("one_sided", "two_sided"))
-    p_sweep.add_argument("--ni-margin", type=float)
-    p_sweep.add_argument("--ni-margin-std", action="store_true", default=None)
-    p_sweep.add_argument("--interval", type=float, nargs="+")
-    p_sweep.add_argument("--interval-std", action="store_true", default=None)
-
-    for p in (p_super, p_infer, p_equiv, p_sweep):
+    for name, (design, help_line) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        _add_design_flags(p, DESIGN_FIELDS[design])
         _add_input_flags(p)
-        _add_common_flags(p)
+        p.add_argument("--prior-scale", type=float, default=DEFAULT_PRIOR_SCALE,
+                       help="Cauchy prior scale on the standardized effect (default 1/sqrt(2))")
+        _add_output_flags(p)
+        p.add_argument("--curves", metavar="CSV",
+                       help="also write prior/posterior density curves here")
+
+    p = sub.add_parser("sweep", help="prior-scale robustness sweep")
+    p.add_argument("--design", choices=tuple(_SUBCOMMANDS), required=True)
+    p.add_argument("--scales", type=float, nargs="+", required=True,
+                   metavar="SCALE", help="prior scales to sweep")
+    # every design's flags, each absent unless given, so that _test_spec sees a stray one
+    _add_design_flags(p, [f for fields in DESIGN_FIELDS.values() for f in fields],
+                      required=False, default=argparse.SUPPRESS)
+    _add_input_flags(p)
+    _add_output_flags(p)
     return parser
 
 
@@ -217,31 +223,26 @@ def _study_input(args):
     raise ValidationError("no variability information: add --sd-x/--sd-y or --ci-margin")
 
 
-# each design's own flags; ``sweep`` takes them all, each None unless given
-_DESIGN_FLAGS = {"super": ("alternative",), "infer": ("ni_margin", "ni_margin_std"),
-                 "equiv": ("interval", "interval_std")}
-
-
 def _test_spec(args) -> TestSpec:
-    design = args.design if args.subcommand == "sweep" else args.subcommand
-    for flag in (f for d, flags in _DESIGN_FLAGS.items() if d != design for f in flags):
-        if getattr(args, flag, None) is not None:  # another design's flag would be ignored
-            raise ValidationError(f"--{flag.replace('_', '-')} does not apply to --design {design}")
-    if design == "super":
-        return TestSpec.superiority(direction=args.direction,
-                                    alternative=args.alternative or "two_sided")
-    if design == "infer":
-        if args.ni_margin is None:
+    name = args.design if args.subcommand == "sweep" else args.subcommand
+    design, given = _SUBCOMMANDS[name][0], vars(args)
+    for field in (f for d, fields in DESIGN_FIELDS.items() if d != design for f in fields):
+        if field in given:  # another design's flag would be ignored
+            raise ValidationError(f"--{field.replace('_', '-')} does not apply to --design {name}")
+    # a sweep leaves out each flag not given, which then takes its single-test default
+    values = {f: _FIELD_FLAGS[f].get("default", False) for f in DESIGN_FIELDS[design]} | given
+    if design == "superiority":
+        return TestSpec.superiority(args.direction, values["alternative"])
+    if design == "non_inferiority":
+        if "ni_margin" not in given:
             raise ValidationError("--ni-margin is required for a non-inferiority sweep")
-        return TestSpec.non_inferiority(args.ni_margin,
-                                        standardized=bool(args.ni_margin_std),
-                                        direction=args.direction)
-    interval = args.interval or [0.0]
+        return TestSpec.non_inferiority(given["ni_margin"], values["ni_margin_std"], args.direction)
+    interval = values["interval"]
     if len(interval) > 2:
         raise ValidationError("--interval takes one or two values")
     # TestSpec.equivalence reads a single value v as (-v, v)
     return TestSpec.equivalence(interval[0] if len(interval) == 1 else tuple(interval),
-                                standardized=bool(args.interval_std), direction=args.direction)
+                                values["interval_std"], args.direction)
 
 
 def parse_and_run(argv) -> int:
@@ -251,19 +252,14 @@ def parse_and_run(argv) -> int:
         data = _study_input(args)
         spec = _test_spec(args)
         if args.subcommand == "sweep":
-            result = prior_sweep(data, spec, args.scales)
+            result, render = prior_sweep(data, spec, args.scales), render_sweep_text
         else:
-            result = run_test(data, spec, args.prior_scale)
-        if args.curves:  # before the report, so that a failure leaves stdout empty
-            curves = emit_density_curves(derive_stats(data), CauchyPrior(scale=args.prior_scale))
-            with open(args.curves, "w") as handle:
-                write_curves_csv(handle, *curves)
-        if args.format == "json":
-            sys.stdout.write(render_json(result))
-        elif args.subcommand == "sweep":
-            sys.stdout.write(render_sweep_text(result))
-        else:
-            sys.stdout.write(render_text(result))
+            result, render = run_test(data, spec, args.prior_scale), render_text
+            if args.curves:  # before the report, so that a failure leaves stdout empty
+                curves = emit_density_curves(derive_stats(data), CauchyPrior(args.prior_scale))
+                with open(args.curves, "w") as handle:
+                    write_curves_csv(handle, *curves)
+        sys.stdout.write((render_json if args.format == "json" else render)(result))
         if args.subcommand == "sweep":
             for e in result.entries:
                 if e.error is not None:

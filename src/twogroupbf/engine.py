@@ -41,6 +41,7 @@ from .quadrature import QuadratureError, integrate_log
 
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
+    "DESIGN_FIELDS",
     "CauchyPrior",
     "TestSpec",
     "BfResult",
@@ -67,6 +68,11 @@ Design = Literal["superiority", "non_inferiority", "equivalence"]
 Direction = Literal["high", "low"]
 Alternative = Literal["one_sided", "two_sided"]
 Orientation = Literal["bf10", "bf01"]
+
+# the TestSpec fields each design reads; those of another design stay unset
+DESIGN_FIELDS = {"superiority": ("alternative",),
+                 "non_inferiority": ("ni_margin", "ni_margin_std"),
+                 "equivalence": ("interval", "interval_std")}
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,8 @@ class CauchyPrior:
 class TestSpec:
     """Which test to run and how its hypotheses are laid out.
 
-    Only the fields relevant to ``design`` may be set; use the factory
-    classmethods rather than filling fields by hand.
+    Only ``design``'s fields in ``DESIGN_FIELDS`` may be set; use the
+    factory classmethods rather than filling fields by hand.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -117,17 +123,18 @@ class TestSpec:
     def __post_init__(self):
         if self.direction not in ("high", "low"):
             raise ValidationError("direction must be 'high' or 'low'")
-        if self.design == "superiority":
-            if self.alternative not in ("one_sided", "two_sided"):
-                raise ValidationError("superiority needs alternative one_sided or two_sided")
-            if self.ni_margin is not None or self.interval is not None:
-                raise ValidationError("margins are not part of a superiority test")
+        if self.design not in DESIGN_FIELDS:
+            raise ValidationError(f"unknown design: {self.design!r}")
+        own = DESIGN_FIELDS[self.design]
+        for field in (f for fields in DESIGN_FIELDS.values() for f in fields if f not in own):
+            if (value := getattr(self, field)) is not None and value is not False:  # 0.0 == False
+                raise ValidationError(f"only {own[0]} applies to {self.design} tests, not {field}")
+        if self.design == "superiority" and self.alternative not in ("one_sided", "two_sided"):
+            raise ValidationError("superiority needs alternative one_sided or two_sided")
         elif self.design == "non_inferiority":
             if self.ni_margin is None or not 0.0 <= self.ni_margin < math.inf:
                 raise ValidationError(f"non-inferiority needs a finite ni_margin >= 0, "
                                       f"got {self.ni_margin}")
-            if self.alternative is not None or self.interval is not None:
-                raise ValidationError("only ni_margin applies to a non-inferiority test")
         elif self.design == "equivalence":
             if self.interval is None:
                 raise ValidationError("equivalence needs an interval")
@@ -135,10 +142,6 @@ class TestSpec:
             if not -math.inf < lo <= hi < math.inf:
                 raise ValidationError("equivalence interval needs finite bounds with "
                                       f"lower <= upper, got {self.interval}")
-            if self.alternative is not None or self.ni_margin is not None:
-                raise ValidationError("only interval applies to an equivalence test")
-        else:
-            raise ValidationError(f"unknown design: {self.design!r}")
 
     @classmethod
     def superiority(cls, direction: Direction = "high",
@@ -201,8 +204,8 @@ def get_bf(result: BfResult) -> float:
     ``math.inf`` above the float range and 0.0 below it."""
     try:
         return math.exp(result.log_bf)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # also raised by an int below the float range
+        return math.inf if result.log_bf > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

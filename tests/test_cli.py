@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import twogroupbf
 from conftest import nct_logpdf_mpmath, strict_json
 from twogroupbf.cli import parse_and_run, read_raw_csv
 from twogroupbf.datamodel import SummaryCi, SummaryMoments, derive_stats
-from twogroupbf.engine import CauchyPrior, TestSpec, get_bf, infer_bf, super_bf
+from twogroupbf.engine import DESIGN_FIELDS, CauchyPrior, TestSpec, get_bf, infer_bf, super_bf
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
 from twogroupbf.report import render_text
 
@@ -486,6 +487,26 @@ class TestValidationAndExitCodes:
     def test_help_exits_0(self, capsys):
         assert parse_and_run(["infer", "--help"]) == 0
         assert "--ni-margin" in capsys.readouterr().out
+
+    def test_help_lists_the_design_flags_of_the_table(self, capsys):
+        """Each subcommand offers its design's flags from DESIGN_FIELDS, the
+        sweep every design's; past the flags all four share, a single test
+        adds --prior-scale and --curves and the sweep --design and --scales.
+        A flag added outside the table shows here."""
+        flag = {f: "--" + f.replace("_", "-") for fs in DESIGN_FIELDS.values() for f in fs}
+        designs = {"super": "superiority", "infer": "non_inferiority", "equiv": "equivalence"}
+        listed = {}
+        for sub in (*designs, "sweep"):
+            assert parse_and_run([sub, "--help"]) == 0
+            listed[sub] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert not listed["sweep"] & {"--prior-scale", "--curves"}
+        shared = set.intersection(*listed.values())
+        for sub, flags in listed.items():
+            own = {flag[f] for f in DESIGN_FIELDS[designs[sub]]} if sub in designs \
+                else set(flag.values())
+            assert flags & set(flag.values()) == own, sub
+            assert flags - shared - own == ({"--prior-scale", "--curves"} if sub in designs
+                                            else {"--design", "--scales"}), sub
 
     def test_invalid_numerics(self, capsys):
         rc = parse_and_run(["infer", "--n-x", "10", "--n-y", "10", "--mean-x", "0",

@@ -9,7 +9,7 @@ mirrored data under the flipped direction give the same log BF; at prior
 scales far below the likelihood's peak the log BF moves by exactly
 ln(s1 / s2), and far above it by ln(s2 / s1); at large t it follows the
 large-t law.  A share of the draws also writes density curves, whose every
-value must be finite.  A flag of another input form is refused.
+value must be finite.  A flag of another input form or design is refused.
 """
 
 import io
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import strict_json
 from twogroupbf import cli
 from twogroupbf.datamodel import _max_abs_t, derive_stats
+from twogroupbf.engine import DESIGN_FIELDS
 
 # magnitudes from 1e-300 to 1e300, log-uniform
 MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: float(10.0 ** e))
@@ -214,6 +215,12 @@ STRAY_FLAGS = {
     "moments": ("--ci-level",),
     "ci": ("--sd-x", "--sd-y"),
 }
+# the values each design flag takes
+DESIGN_VALUES = {"alternative": st.lists(st.sampled_from(["one_sided", "two_sided"]),
+                                         min_size=1, max_size=1),
+                 "ni_margin": st.lists(MAGNITUDES.map(_num), min_size=1, max_size=1),
+                 "interval": st.lists(SIGNED.map(_num), min_size=1, max_size=2),
+                 "ni_margin_std": st.just([]), "interval_std": st.just([])}
 
 
 @given(st.sampled_from(["super", "infer", "equiv", "sweep"]).flatmap(invocations),
@@ -221,13 +228,21 @@ STRAY_FLAGS = {
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_stray_flag_from_another_input_form_is_refused(case, data):
-    """One flag of another input form is an error, never silently ignored."""
+    """One flag of another input form, or of another design, is an error,
+    never silently ignored."""
     flag = data.draw(st.sampled_from(STRAY_FLAGS[case["form"].replace("_split", "")]))
     value = str(data.draw(SIZES)) if flag in ("--n-x", "--n-y") else _num(
         data.draw(CI_LEVELS if flag == "--ci-level" else MAGNITUDES))
+    design = {"super": "superiority", "infer": "non_inferiority",
+              "equiv": "equivalence"}[case["design"]]
+    field = data.draw(st.sampled_from(
+        [f for other, fields in DESIGN_FIELDS.items() if other != design for f in fields]))
+    design_flag = ["--" + field.replace("_", "-"), *data.draw(DESIGN_VALUES[field])]
     with tempfile.TemporaryDirectory() as folder:
         rc, _ = _run(_argv(case, folder) + [flag, value])
-    assert rc == 2, (case, flag, value)
+        assert rc == 2, (case, flag, value)
+        rc, _ = _run(_argv(case, folder) + design_flag)
+        assert rc == 2, (case, design_flag)
 
 
 STUDY = ["--n-x", "20", "--n-y", "20", "--mean-x", "0", "--mean-y", "0.5",
@@ -256,6 +271,18 @@ def test_a_sweep_refuses_a_flag_of_another_design(argv, flag):
     design = argv[1]
     assert (rc, out) == (2, "")
     assert err == f"error: {flag} does not apply to --design {design}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--prior-scale", "3"), ("--curves", None)])
+def test_a_sweep_refuses_the_single_test_flags(flag, value, tmp_path):
+    """A sweep would read --prior-scale and --curves only to write an
+    unrelated curves file: both are unknown flags to it."""
+    curves = tmp_path / "curves.csv"
+    rc, out, err = _stdout_stderr(["sweep", "--design", "super", *STUDY,
+                                   flag, value or str(curves)])
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and flag in err
+    assert not curves.exists()
 
 
 def test_a_superiority_sweep_is_two_sided_by_default():

@@ -23,6 +23,7 @@ from twogroupbf.datamodel import (
 )
 from twogroupbf.engine import (
     DEFAULT_PRIOR_SCALE,
+    DESIGN_FIELDS,
     CauchyPrior,
     TestSpec,
     equiv_bf,
@@ -35,6 +36,7 @@ from twogroupbf.engine import (
 )
 from twogroupbf.oracle import GridSpec, default_span, grid_bf
 from twogroupbf.quadrature import integrate_log
+from twogroupbf.report import render_json
 from twogroupbf.specfun import noncentral_t_logpdf
 
 STUDY_51 = SummaryMoments(100, 100, 0.0, 0.5, 1.0, 1.0)
@@ -698,7 +700,11 @@ class TestReciprocity:
     def test_get_bf_beyond_float_range(self):
         res = super_bf(STUDY_51, TestSpec.superiority(), 0.5)
         assert get_bf(replace(res, log_bf=710.0)) == math.inf
-        assert get_bf(replace(res, log_bf=-800.0)) == 0.0
+        # math.exp raises OverflowError for an int past the float range of either sign
+        for log_bf, bf in ((10**400, math.inf), (800.0, math.inf),
+                           (-10**400, 0.0), (-800.0, 0.0)):
+            assert get_bf(replace(res, log_bf=log_bf)) == bf, log_bf
+        assert '"bf": 0.0,' in render_json(replace(res, log_bf=-10**400))
 
 
 class TestPriorSweep:
@@ -826,6 +832,20 @@ class TestSpecValidation:
                  "only interval applies")):
             with pytest.raises(ValidationError, match=message):
                 TestSpec(**fields)
+        # each design's valid fields, plus any one field of another design set,
+        # to a value that == False or None would let through: refused by name
+        valid = {"superiority": {"alternative": "two_sided"},
+                 "non_inferiority": {"ni_margin": 1.0, "ni_margin_std": True},
+                 "equivalence": {"interval": (-1.0, 1.0), "interval_std": True}}
+        stray = {"alternative": "one_sided", "ni_margin": 0.0, "ni_margin_std": True,
+                 "interval": (0.0, 0.0), "interval_std": True}
+        pairs = [(design, field) for design in DESIGN_FIELDS
+                 for other, fields in DESIGN_FIELDS.items() if other != design for field in fields]
+        assert len(pairs) == 10 and set(stray) == {f for fs in DESIGN_FIELDS.values() for f in fs}
+        for design, field in pairs:
+            TestSpec(design=design, **valid[design])
+            with pytest.raises(ValidationError, match=f"not {field}$"):
+                TestSpec(design=design, **valid[design], **{field: stray[field]})
 
     def test_non_finite_margins_are_rejected(self):
         # a NaN interval must not fold into the point null
