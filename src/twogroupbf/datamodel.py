@@ -54,8 +54,8 @@ def _max_abs_t(df: float) -> float:
     chi^2_df; Laurent and Massart's bound q <= df + 2 sqrt(T df) + 2 T keeps
     all of that finite.
     """
-    return math.sqrt(sys.float_info.max
-                     / (df + 2.0 * math.sqrt(HORIZON_NATS * df) + 2.0 * HORIZON_NATS))
+    return math.sqrt(sys.float_info.max  # sqrt(T df) as a product: T df overflows past 4.5e306
+                     / (df + 2.0 * math.sqrt(HORIZON_NATS) * math.sqrt(df) + 2.0 * HORIZON_NATS))
 
 
 class ValidationError(ValueError):
@@ -85,6 +85,8 @@ def _check_group_sizes(n_x, n_y) -> None:
     for name, n in (("n_x", n_x), ("n_y", n_y)):
         if isinstance(n, int) and abs(n) > sys.float_info.max:  # float(n) would overflow
             raise ValidationError(f"group size {name} ~ 1e{math.log10(abs(n)):.0f} is too large")
+    if n_x + n_y > sys.float_info.max:  # each fits, but df and the pooled variance would not
+        raise ValidationError("group sizes are too large: n_x + n_y passes the float range")
     if not (float(n_x).is_integer() and float(n_y).is_integer()):
         raise ValidationError("group sizes must be whole numbers")
     if n_x < 2 or n_y < 2:
@@ -200,18 +202,20 @@ def sd_from_ci(s: SummaryCi) -> float:
     return se / math.sqrt(1.0 / s.n_x + 1.0 / s.n_y)
 
 
+def _moments(obs) -> tuple:
+    """n, mean and sd (ddof 1) of one group, by the operations np.mean and
+    np.std run on a 1-D array, without their per-call wrappers."""
+    v = np.asarray(obs, dtype=float)
+    n = v.size
+    mean = np.add.reduce(v) / n
+    d = v - mean
+    return n, float(mean), math.sqrt(np.add.reduce(np.multiply(d, d, out=d)) / (n - 1))
+
+
 def _moments_from_raw(raw: RawGroups) -> SummaryMoments:
-    x = np.asarray(raw.x, dtype=float)
-    y = np.asarray(raw.y, dtype=float)
     with np.errstate(over="ignore"):  # SummaryMoments rejects an infinite moment by name
-        return SummaryMoments(
-            n_x=int(x.size),
-            n_y=int(y.size),
-            mean_x=float(np.mean(x)),
-            mean_y=float(np.mean(y)),
-            sd_x=float(np.std(x, ddof=1)),
-            sd_y=float(np.std(y, ddof=1)),
-        )
+        (n_x, mean_x, sd_x), (n_y, mean_y, sd_y) = _moments(raw.x), _moments(raw.y)
+    return SummaryMoments(n_x, n_y, mean_x, mean_y, sd_x, sd_y)
 
 
 def derive_stats(data: StudyInput) -> DerivedStats:

@@ -22,6 +22,7 @@ rows share every panel, and each row converges on its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -67,7 +68,7 @@ _GK15 = (
     (0.000000000000000, 0.209482141084728, 0.417959183673469),
 )
 
-_NODES = np.array([row[0] for row in _GK15])[:, None]  # a column: node by node
+_NODES_1 = np.array([row[0] for row in _GK15])[:, None] + 1.0  # a column: node by node
 _LOG_WK = np.log(np.array([row[1] for row in _GK15]))[:, None]
 _GAUSS_NODES = np.flatnonzero([row[2] > 0.0 for row in _GK15])
 _LOG_WG = np.log(np.array([row[2] for row in _GK15 if row[2] > 0.0]))[:, None]
@@ -83,15 +84,15 @@ def _panels(g, f, lo, hi):
     (lo[i], hi[i]), one row per integrand, from one call of g over all their
     nodes."""
     half = (hi - lo) / 2.0
-    x = (_NODES + 1.0) * half + lo  # node by node, so that each op runs along the panels
+    x = _NODES_1 * half + lo  # node by node, so that each op runs along the panels
     fx = g(x.ravel(), f).reshape(-1, *x.shape)  # g's own array: the sums go in place
-    if not (fx < math.inf).all():  # NaN or +inf somewhere
-        i = int(np.argmax((np.isnan(fx) | (fx == math.inf)).any(axis=(0, 1))))
-        raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
-                              _NEG_INF, math.inf)
     # both rules are summed relative to the panel's own maximum, so their
     # difference keeps its relative accuracy at any log magnitude
     top = fx.max(axis=1)
+    if not top.max() < math.inf:  # NaN or +inf at some node: max propagates NaN
+        i = int(np.argmin((top < math.inf).all(axis=0)))
+        raise QuadratureError(f"integrand returned NaN or +inf in panel ({lo[i]}, {hi[i]})",
+                              _NEG_INF, math.inf)
     m = np.where(np.isfinite(top), top, 0.0)
     gauss = fx.take(_GAUSS_NODES, axis=1)
     for v, log_w in ((gauss, _LOG_WG), (fx, _LOG_WK)):
@@ -133,23 +134,23 @@ def _initial_breakpoints(seeds, lo: float, hi: float) -> list:
     return sorted(points)
 
 
-def _piece_logsumexp(owner, pieces: int, *arrays):
-    """ln sum exp of each row of each array over each piece's panels, which
-    lie side by side in ``owner``'s order, as arrays of shape (rows, pieces).
-    Sums run pairwise (C order) where a row or a piece stands alone, as a
-    1-D sum does, and left to right (F order) over several rows of each of
-    several pieces: the orders the reported values were always summed in."""
-    rows = len(arrays[0])
-    ends = np.searchsorted(owner, np.arange(pieces + 1)).tolist()  # owner is sorted
+def _piece_logsumexp(owner, ends: list, *arrays):
+    """ln sum exp of each row of each array over each piece's panels, which lie
+    side by side from ``ends[k]`` to ``ends[k + 1]``, as lists of rows.  Sums
+    run pairwise (C order) where a row or a piece stands alone, as a 1-D sum
+    does, and left to right (F order) over several rows of each of several
+    pieces: the orders the reported values were always summed in."""
+    rows, pieces = len(arrays[0]), len(ends) - 1
     values = np.concatenate(arrays)  # all arrays as one block of rows
     top = np.maximum.reduceat(values, ends[:-1], axis=1)
     with np.errstate(invalid="ignore"):
-        e = np.subtract(values, top[:, owner], order="F" if pieces > 1 and rows > 1 else "C")
+        e = np.subtract(values, top[:, owner] if pieces > 1 else top,  # a lone piece broadcasts
+                        order="F" if pieces > 1 and rows > 1 else "C")
         np.exp(e, out=e)
-    sums = [np.add.reduce(e[:, a:b], axis=1).tolist() for a, b in zip(ends[:-1], ends[1:])]
+    sums = zip(*[np.add.reduce(e[:, a:b], axis=1).tolist() for a, b in zip(ends[:-1], ends[1:])])
     # libm's log: numpy's differs in the last bit, which would move the reported values
-    logs = np.array([[t + math.log(s) if math.isfinite(t) else t for t, s in zip(tops, piece)]
-                     for tops, piece in zip(top.T.tolist(), sums)]).T
+    logs = [[t + math.log(s) if math.isfinite(t) else t for t, s in zip(tops, row)]
+            for tops, row in zip(top.tolist(), sums)]
     return [logs[i:i + rows] for i in range(0, len(logs), rows)]
 
 
@@ -202,18 +203,23 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
     # x = tan(u) where nothing named lies beyond 1
     named = []
     for x, w, reach in features:
-        x = float(x)
+        x, w, reach = float(x), float(w), float(reach)
+        if math.isnan(x) or not (w >= 0.0 and reach >= 0.0):
+            raise ValueError("a feature needs a location, and a width and reach >= 0, "
+                             f"got {(x, w, reach)}")
         clipped = min(max(x, edges[0]), edges[-1])
         # a reach counts only from a feature inside the outer edges
-        named.append((clipped, float(w), float(reach) if clipped == x else math.inf))
+        named.append((clipped, w, reach if clipped == x else math.inf))
     s = max([1.0, *(abs(x) for x in edges + [x for x, _, _ in named] if math.isfinite(x))])
     log_s = math.log(s)
 
     def g(u, f):
         t = np.tan(u)
+        if s == 1.0:  # x = t, and ln dx/du is formed before f sees it
+            return np.log1p(t * t) + f(t)  # in an array of its own
         with np.errstate(over="ignore"):  # x past the float range is +-inf
             x = s * t
-        out = f(x) + np.log1p(t * t)  # ln dx/du, in an array of its own
+        out = f(x) + np.log1p(t * t)
         return np.add(out, log_s, out=out)
 
     u_edges = [math.atan(x / s) for x in edges]  # +-pi/2 at infinite ends
@@ -234,27 +240,30 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
     lo_p = np.array([x for br in breaks for x in br[:-1]])  # each piece's panels side by side
     hi_p = np.array([x for br in breaks for x in br[1:]])
     owner = np.array([k for k, br in enumerate(breaks) for _ in br[1:]])
+    ends = [0, *itertools.accumulate(len(br) - 1 for br in breaks)]  # each piece's panels
     log_k, err, top = _panels(g, f, lo_p, hi_p)
 
     # each (row, piece) pair's log shift, which makes the linear-scale
     # floor meaningful: the maximum over its initial panels' nodes
-    shifts = np.maximum.reduceat(top, np.searchsorted(owner, np.arange(pieces)), axis=1)
+    floors = (np.maximum.reduceat(top, ends[:-1], axis=1) + math.log(_ABS_TOL_LOG)).tolist()
 
     budget = _MAX_SUBDIVISIONS
+    log_rel = math.log(_REL_TOL)
 
-    while True:
-        totals, errs = _piece_logsumexp(owner, pieces, log_k, err)
-        target = np.maximum(totals + math.log(_REL_TOL), shifts + math.log(_ABS_TOL_LOG))
-        unconverged = errs > target
-        converged = not unconverged.any()
+    while True:  # the convergence test runs on lists: a few values each
+        totals, errs = _piece_logsumexp(owner, ends, log_k, err)
+        target = [[max(t + log_rel, x) for t, x in zip(*r)] for r in zip(totals, floors)]
+        unconverged = [[e > x for e, x in zip(*r)] for r in zip(errs, target)]
+        converged = not any(map(any, unconverged))
         if converged or not budget:
             break
+        totals, target, unconverged = np.array(totals), np.array(target), np.array(unconverged)
         # one round bisects every panel whose error is above its even share
         # of an unconverged (row, piece) pair's target (the local strategy
         # of Malcolm & Simpson, ACM TOMS 1(2), 1975); that pair's summed
         # error is above the target, so some panel is.  Past the budget, the
         # largest errors relative to their pieces go first
-        share = target - np.log(np.bincount(owner, minlength=pieces))
+        share = target - np.log(np.diff(ends))
         over = unconverged[:, owner] & (err > share[:, owner])
         rel = (err - np.where(over, totals[:, owner], math.inf)).max(axis=0)  # -inf if not over
         pick = np.flatnonzero(rel > _NEG_INF)
@@ -272,23 +281,22 @@ def integrate_log(f, edges: Sequence[float], features: Sequence[tuple]) -> list:
         new_k, new_err, _ = _panels(g, f, np.concatenate([a, mid]), np.concatenate([mid, b]))
         hi_p[pick], log_k[:, pick], err[:, pick] = mid, new_k[:, :n], new_err[:, :n]
         owner = np.concatenate((owner, owner[pick]))
+        ends = [0, *itertools.accumulate(np.bincount(owner, minlength=pieces).tolist())]
         order = np.argsort(owner, kind="stable")  # each piece's panels side by side again
         owner, lo_p, hi_p = owner[order], np.append(lo_p, mid)[order], np.append(hi_p, b)[order]
         log_k = np.concatenate((log_k, new_k[:, n:]), axis=1)[:, order]
         err = np.concatenate((err, new_err[:, n:]), axis=1)[:, order]
 
-    results = totals.tolist()
-    if converged:
-        return results
-    log_errs = errs.tolist()
-    for j in np.flatnonzero(unconverged.any(axis=1)):
+    for j, flags in enumerate(unconverged):
+        if not any(flags):
+            continue
         detail = "; ".join(f"piece ({edges[k]:.6g}, {edges[k + 1]:.6g}) log estimate "
-                           f"{results[j][k]:.6g}, log error {log_errs[j][k]:.6g}"
-                           for k in np.flatnonzero(unconverged[j]))
-        total = float(np.logaddexp.reduce(results[j]))
-        error = float(np.logaddexp.reduce(log_errs[j]))
-        results[j] = QuadratureError(
+                           f"{totals[j][k]:.6g}, log error {errs[j][k]:.6g}"
+                           for k, bad in enumerate(flags) if bad)
+        total = float(np.logaddexp.reduce(totals[j]))
+        error = float(np.logaddexp.reduce(errs[j]))
+        totals[j] = QuadratureError(
             f"quadrature did not converge after {_MAX_SUBDIVISIONS} subdivisions in "
             f"{detail} (whole region: log estimate {total:.6g}, log error bound {error:.6g})",
             total, error)
-    return results
+    return totals

@@ -61,19 +61,33 @@ def _log_gamma_half_ratio(x):
 # Student t (central)
 # ---------------------------------------------------------------------------
 
+def _valid_df(df, name):
+    """``df`` as a float, where ``name`` is defined for it."""
+    if not 0.0 < df < math.inf:  # NaN too
+        raise DomainError(f"{name} requires a finite df > 0, got {df!r}")
+    return float(df)
+
+
+def _floats(t):
+    """A scalar as a Python float (no numpy per-call cost, no warnings), else an array."""
+    return float(t) if isinstance(t, (int, float)) else np.asarray(t, dtype=float)
+
+
 def central_t_logpdf(t, df):
     """ln density of Student's t with ``df`` degrees of freedom at ``t``, t^2 / df finite."""
-    if df <= 0.0 or math.isnan(df):
-        raise DomainError("central_t_logpdf requires df > 0")
+    df = _valid_df(df, "central_t_logpdf")
+    t = _floats(t)
+    if isinstance(t, float):
+        return _central_t(t, df)
     with np.errstate(over="ignore"):  # t^2 = inf is refused by name
-        return _central_t(np.asarray(t, dtype=float), df)
+        return _central_t(t, df)
 
 
 def _central_t(t, df):
-    """central_t_logpdf for a float array ``t`` and a valid ``df``, under the
-    caller's errstate."""
+    """central_t_logpdf for a float or float array ``t`` and a valid ``df``,
+    under the caller's errstate."""
     q = t * t / df
-    if not (q < math.inf).all():  # NaN too
+    if not (q < math.inf if isinstance(q, float) else (q < math.inf).all()):  # NaN too
         limit = math.sqrt(sys.float_info.max * min(df, 1.0))
         raise DomainError(f"the t densities at df {df:g} are computed for |t| <= {limit:.3g}, "
                           "where t^2 / df is in the float range")
@@ -96,12 +110,13 @@ def cauchy_logpdf(x, scale):
         raise DomainError("cauchy_logpdf requires scale > 0")
     # libm's log for the normalizer, whose last bit numpy's log may not match;
     # split where pi * scale passes the float range
-    neg_log_norm = np.array([-math.log(math.pi * s) if math.pi * s < math.inf
-                             else -(LN_PI + math.log(s)) for s in scales]).reshape(scale.shape)
+    norms = [-math.log(math.pi * s) if math.pi * s < math.inf else -(LN_PI + math.log(s))
+             for s in scales]
+    neg_log_norm = norms[0] if len(norms) == 1 else np.array(norms).reshape(scale.shape)
     with np.errstate(over="ignore", divide="ignore"):  # ln 0 = -inf only where not taken
         z2 = np.square(np.asarray(x, dtype=float) / scale)
         log1p_z2 = np.log1p(z2)
-        if not (z2 < math.inf).all():  # (x / scale)^2 past the float range, but not its log
+        if not z2.max(initial=0.0) < math.inf:  # (x / scale)^2 past the float range, or NaN
             log_z2 = 2.0 * (np.log(np.abs(x)) - np.log(scale))
             log1p_z2 = np.where(np.isinf(z2), log_z2, log1p_z2)
         return neg_log_norm - log1p_z2
@@ -247,9 +262,8 @@ def noncentral_t_logpdf(t, df, ncp):
     space from the scale-variable integral; see the module notes above.
     Broadcasts over ``t`` and ``ncp``; t^2 / df must be finite.
     """
-    if df <= 0.0 or math.isnan(df):
-        raise DomainError("noncentral_t_logpdf requires df > 0")
-    t = np.asarray(t, dtype=float)
+    df = _valid_df(df, "noncentral_t_logpdf")
+    t = _floats(t)
     ncp = np.asarray(ncp, dtype=float)
     with np.errstate(all="ignore"):
         central = _central_t(t, df)
@@ -307,8 +321,7 @@ def _betacf(a, b, x):
 
 def student_t_cdf(t, df):
     """CDF of Student's t via the regularized incomplete beta I_x(df/2, 1/2)."""
-    if df <= 0.0 or math.isnan(df):
-        raise DomainError("student_t_cdf requires df > 0")
+    _valid_df(df, "student_t_cdf")
     if math.isnan(t):
         raise DomainError("student_t_cdf requires finite t")
     if t == 0.0:
@@ -329,15 +342,24 @@ def student_t_cdf(t, df):
     return 0.5 * tail if t < 0.0 else 1.0 - 0.5 * tail
 
 
+def _normal_deviate(p2):
+    """The normal quantile for the two-sided tail probability p2 < 1, to
+    4.5e-4 (A&S 26.2.23)."""
+    r = math.sqrt(-2.0 * math.log(p2 / 2.0))
+    return r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+
+
 def _hill_start(p2, df):
     """Hill's approximate t quantile for the two-sided tail probability p2 < 1.
 
-    CACM Algorithm 396, 1970.  Its normal deviate (A&S 26.2.23) is good to
-    4.5e-4: ample for a start.
+    CACM Algorithm 396, 1970.  Its normal deviate is ample for a start.
     """
     if df <= 1.0:  # Cauchy quantile, below the true one for df < 1
         return 1.0 / math.tan(math.pi * p2 / 2.0)
     a = 1.0 / (df - 0.5)
+    if a * a == 0.0:  # a^2 underflows past df ~7e161, where t is normal to ~1 / df
+        return _normal_deviate(p2)
     b = 48.0 / (a * a)
     c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
@@ -345,9 +367,7 @@ def _hill_start(p2, df):
     if y == 0.0:  # underflow: the start, sqrt(df / y), lies past 1e161
         return math.inf
     if y > 0.05 + a:
-        r = math.sqrt(-2.0 * math.log(p2 / 2.0))
-        x = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
-            1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+        x = _normal_deviate(p2)
         y = x * x
         if df < 5.0:
             c += 0.3 * (df - 4.5) * (x + 0.6)
@@ -370,8 +390,7 @@ def student_t_quantile(p, df):
     """
     if not 0.0 < p < 1.0:
         raise DomainError("student_t_quantile requires 0 < p < 1")
-    if df <= 0.0 or math.isnan(df):
-        raise DomainError("student_t_quantile requires df > 0")
+    _valid_df(df, "student_t_quantile")
     if p == 0.5:
         return 0.0
     r = p if p < 0.5 else 1.0 - p  # exact for p >= 1/2

@@ -186,6 +186,32 @@ class TestSuperInvocation:
         engine = get_bf(super_bf(raw, TestSpec.superiority()))
         assert engine == pytest.approx(oracle, rel=1e-6)
 
+    def test_ci_study_past_the_underflow_of_hills_start(self, capsys):
+        # n = 1e200 per group puts df past ~7e161, where the t quantile's start
+        # divided by zero and the CLI exited 1 with a traceback
+        n = str(10 ** 200)
+        study = ["super", "--n-x", n, "--n-y", n, "--mean-x", "0", "--mean-y", "1",
+                 "--ci-margin", "0.5"]
+        assert parse_and_run([*study, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # the likelihood is normal, 1e-100 wide against a prior flat over it:
+        # ln BF10 = ln p(0) - ln(n_eff) / 2 + t^2 / 2 + ln sqrt(2 pi), t = 2 z_0.975
+        t = 2.0 * 1.959963984540054
+        want = (-math.log(math.pi / math.sqrt(2.0)) - 0.5 * math.log(5e199) + t * t / 2.0
+                + 0.5 * math.log(2.0 * math.pi))
+        assert json.loads(captured.out)["log_bf"] == pytest.approx(want, rel=1e-9)
+
+    def test_group_sizes_whose_sum_passes_the_float_range_exit_2(self, capsys):
+        # each size fits in a float; the sum raised OverflowError with a traceback
+        for n in (str(10 ** 308), str(9 * 10 ** 307)):
+            rc = parse_and_run(["super", "--n-x", n, "--n-y", n, "--mean-x", "0",
+                                "--mean-y", "1", "--sd-x", "1", "--sd-y", "1"])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert "n_x + n_y passes the float range" in captured.err
+            assert len(captured.err.splitlines()) == 1
+
     def test_prior_scale_flag(self, capsys):
         rc = parse_and_run(["super", "--n-x", "100", "--n-y", "100", "--mean-x", "0",
                             "--mean-y", "0.5", "--sd-x", "1", "--sd-y", "1",

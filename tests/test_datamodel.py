@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from twogroupbf.datamodel import (
     SummaryMoments,
     ValidationError,
     _max_abs_t,
+    _moments,
     derive_stats,
     pooled_sd,
     sd_from_ci,
@@ -77,6 +80,17 @@ class TestDeriveStats:
         assert from_raw.sd_pooled == pytest.approx(from_moments.sd_pooled, abs=1e-12)
         assert from_raw.df == from_moments.df
         assert from_raw.n_eff == from_moments.n_eff
+
+    def test_raw_moments_are_numpys_bit_for_bit(self):
+        # the raw reduction runs np.mean's and np.std's operations without
+        # their wrappers: the same bits, overflow to inf included
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 17, 150, 5000):
+            for scale in (1e-300, 1.0, 1e150, 1e307):
+                x = rng.normal(rng.uniform(-5, 5), 1.0, n) * scale
+                with np.errstate(over="ignore"):
+                    want = (n, float(np.mean(x)), float(np.std(x, ddof=1)))
+                    assert _moments(x.tolist()) == want, (n, scale)
 
     def test_ci_path_reference_study(self):
         st_ = derive_stats(SummaryCi(193, 205, 4.7, 4.8, ci_margin=0.19, ci_level=0.95))
@@ -182,6 +196,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="group size n_x ~ 1e400 is too large"):
             SummaryMoments(10 ** 400 - 1, 10, 0.0, 1.0, 1.0, 1.0)
 
+    def test_sizes_whose_sum_passes_the_float_range(self):
+        # each size fits in a float, their sum does not: as ints it raised
+        # OverflowError, as floats it read as a degenerate pooled variance
+        for n in (10 ** 308, 1e308, 9e307):
+            with pytest.raises(ValidationError, match="n_x \\+ n_y passes the float range"):
+                SummaryMoments(n, n, 0.0, 1.0, 1.0, 1.0)
+            with pytest.raises(ValidationError, match="n_x \\+ n_y passes the float range"):
+                SummaryCi(n, n, 0.0, 1.0, ci_margin=0.5)
+        assert SummaryMoments(8e307, 8e307, 0.0, 1.0, 1.0, 1.0).n_x == 8e307
+
     def test_t_statistic_past_the_limit(self):
         # t = 2.2e160 from moments, 1e300 from a CI, and t = 2e153 at n 20/20,
         # whose square is finite but whose ncp^2 df overflows at the peak
@@ -196,6 +220,17 @@ class TestValidation:
         t = 0.999 * _max_abs_t(38.0)
         assert derive_stats(SummaryMoments(20, 20, 0.0, t * math.sqrt(0.1), 1.0, 1.0)).t_obs == (
             pytest.approx(t, rel=1e-12))
+
+    def test_limit_at_df_past_the_overflow_of_its_terms(self):
+        # 40 df overflows past df 4.5e306, which read as a limit of 0
+        for df in (1e306, 1.6e308):
+            want = mpmath.sqrt(mpmath.mpf(sys.float_info.max)
+                               / (df + 2 * mpmath.sqrt(40 * mpmath.mpf(df)) + 80))
+            assert _max_abs_t(df) == pytest.approx(float(want), rel=1e-15), df
+        # n = 8e307 per group, t = 63: refused by the true limit
+        with pytest.raises(ValidationError, match="computed for \\|t\\| <= 1.06 "):
+            derive_stats(SummaryMoments(8e307, 8e307, 0.0, 63.0 * math.sqrt(2.0 / 8e307),
+                                        1.0, 1.0))
 
     def test_hand_built_stats_past_the_limit(self):
         # DerivedStats holds the one limit on |t|, so stats built by hand meet

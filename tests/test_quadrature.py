@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,45 @@ def test_nan_integrand_raises():
         f = lambda x: np.where(x > 0.5, bad, 0.0)
         with pytest.raises(QuadratureError, match="NaN or \\+inf"):
             integrate_log(f, (0.0, 1.0), [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_one_bad_node_in_one_row_names_its_panel(bad, rounds):
+    """One NaN or +inf at one Kronrod-only node of one row, beside a row at
+    -inf everywhere, is caught from the panel maxima, in the first pass or
+    in a refinement round, and the panel holding that node is named."""
+    spike, _, _ = _gaussian_spike(1e3, 0.3)  # unflagged, so the first pass bisects
+    nodes = []  # u of the bad node, once it is set
+
+    def f(x):
+        out = np.stack([spike(x), np.full(x.shape, -math.inf), spike(x)])
+        calls = f.calls = getattr(f, "calls", 0) + 1
+        if calls == rounds + 1:
+            # the abscissae run node by node: Kronrod-only node 4 of panel 1
+            at = x.size // 15 * 4 + 1
+            out[2, at] = bad
+            nodes.append(math.atan(x[at]))  # x = tan(u) on (0, 1)
+        return out
+
+    with pytest.raises(QuadratureError, match="NaN or \\+inf in panel") as err:
+        integrate_log(f, (0.0, 1.0), [(0.0, 0.05, math.inf)])
+    assert f.calls == rounds + 1 and len(nodes) == 1
+    lo, hi = map(float, re.search(r"panel \((\S+), (\S+)\)", str(err.value)).groups())
+    # the node sits 0.8649 of the half-width above the middle of the named panel
+    assert nodes[0] == pytest.approx((lo + hi) / 2.0 + 0.864864423359769 * (hi - lo) / 2.0,
+                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("feature", [
+    (math.nan, 0.1, 1.0), (0.0, -1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.1, math.nan),
+    (0.0, 0.1, -1.0)], ids=["nan-x", "negative-width", "nan-width", "nan-reach",
+                            "negative-reach"])
+def test_feature_validation(feature):
+    # a width of -1 divided by zero, a NaN location was blamed on the
+    # integrand, and a NaN width or reach passed silently
+    with pytest.raises(ValueError, match="a feature needs a location, and a width and reach"):
+        integrate_log(lambda x: -x * x, (-1.0, 1.0), [(0.3, 0.1, 1.0), feature])
 
 
 def test_interval_validation():

@@ -127,6 +127,19 @@ class TestCentralT:
         with pytest.raises(DomainError):
             central_t_logpdf(1.0, 0.0)
 
+    def test_infinite_df_is_refused(self):
+        # it read as nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="central_t_logpdf requires a finite df > 0"):
+            central_t_logpdf(2.0, math.inf)
+
+    def test_scalar_t_keeps_the_bits_of_an_array(self):
+        # a scalar t runs as Python floats, an array as numpy's: the same operations
+        rng = np.random.default_rng(30)
+        for df in (0.5, 3.0, 38.0, 2e4, 2e10):
+            t = rng.standard_t(3.0, 200) * 10.0 ** rng.uniform(-3, 3, 200)
+            assert [central_t_logpdf(v, df) for v in t.tolist()] == (
+                central_t_logpdf(t, df).tolist()), df
+
 
 class TestCauchy:
     def test_density_at_zero(self):
@@ -431,6 +444,11 @@ class TestNoncentralT:
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, -2.0, 0.0)
 
+    def test_infinite_df_is_refused(self):
+        # it raised a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="noncentral_t_logpdf requires a finite df > 0"):
+            noncentral_t_logpdf(2.0, math.inf, 1.0)
+
 
 def _most_steps(c):
     """The most trapezoid steps that any mode's window needs at c = df + 1,
@@ -596,6 +614,26 @@ class TestStudentTQuantile:
         assert student_t_cdf(1e200, 3.0) == 1.0 and student_t_cdf(-1e200, 3.0) == 0.0
         with pytest.raises(DomainError):
             student_t_cdf(math.nan, 3.0)
+
+    def test_cdf_refuses_infinite_df(self):
+        # it raised a bare "math domain error"
+        with pytest.raises(DomainError, match="student_t_cdf requires a finite df > 0"):
+            student_t_cdf(-2.0, math.inf)
+
+    def test_infinite_df_is_refused(self):
+        # it raised a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="student_t_quantile requires a finite df > 0"):
+            student_t_quantile(0.025, math.inf)
+
+    def test_df_past_the_underflow_of_hills_start(self):
+        # Hill's 1 / (df - 1/2)^2 underflows past df ~7e161, where it divided by
+        # zero; there t is normal to ~1 / df, and the steps start from the normal
+        z = -1.959963984540054  # the normal 2.5% quantile (mpmath)
+        for df in (7e161, 1e200, 2 * 10 ** 200 - 2, 1e300):
+            assert student_t_quantile(0.025, df) == pytest.approx(z, rel=1e-13), df
+            assert student_t_quantile(0.975, df) == pytest.approx(-z, rel=1e-13), df
+        # below the switch the start is Hill's, as ever
+        assert student_t_quantile(0.025, 6e161) == pytest.approx(z, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
